@@ -1,8 +1,10 @@
 """qrepsim: design toolkit for cavity-linked atom-array quantum repeaters.
 
-Deterministic density-matrix simulation of heralded entanglement links,
-entanglement purification, entanglement swapping chains, and the schedule
-optimization tying them into rate/fidelity curves.
+Deterministic simulation of heralded entanglement links, entanglement
+purification, entanglement swapping chains, and the schedule optimization
+tying them into rate/fidelity curves. Production runs on four Bell weights
+per pair in closed form; the dense density-matrix circuits (``states``,
+``noise``, ``purify_round``) are the reference the tests check it against.
 """
 
 from .states import (
@@ -56,6 +58,7 @@ from .purify import (
     PurificationSchedule,
     balance_errors,
     fixed_point_fidelity,
+    purify_ladder_weights,
     purify_n_rounds,
     purify_round,
     purify_round_weights,
@@ -70,13 +73,11 @@ from .schedule import (
     t_puri,
 )
 from .chain import (
-    BellBranch,
     ChainParams,
     ChainPlan,
     bell_measurement,
     optimize_plan,
     rate_vs_distance,
-    swap_chain,
     t_repe,
 )
 from .config import Config, ConfigError, load_config, parse_config

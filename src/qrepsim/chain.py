@@ -3,8 +3,8 @@
 A chain of M stations (M-1 a power of two) swaps its per-link e-bits in
 m = log2(M-1) pairwise levels. Each Bell measurement is a noisy CNOT on the
 two middle qubits, an ideal Hadamard, two noisy readouts, and the
-outcome-conditioned Pauli correction on the far end; the returned state
-averages the corrected branches. Purification runs before the swaps (N1
+outcome-conditioned Pauli correction on the far end; the engine applies it
+to Bell weights in closed form. Purification runs before the swaps (N1
 rounds per link) and after them (N2 rounds end to end), and the total time
 
     T_QR(N1, N2) = max( 2^N2 * (T_EG(N1) + T_repe),
@@ -23,17 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
-from .noise import GateNoiseParams, noisy_measure_z, noisy_two_qubit_gate
-from .purify import purify_n_rounds
+from .noise import GateNoiseParams
+from .purify import purify_ladder_weights
 from .schedule import OperationTimings, classical_delay_us, t_eg, t_puri
-from .states import (
-    HADAMARD,
-    PAULI_X,
-    PAULI_Z,
-    DensityMatrix,
-    expand_operator,
-    tensor,
-)
+from .states import BELL_BITS, BellDiagonalState, check_finite
+# purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
+from .purify import purify_n_rounds  # noqa: F401
+from .states import expand_operator  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -44,6 +40,7 @@ class ChainParams:
     fc_enabled: bool = False
 
     def __post_init__(self):
+        check_finite(self)
         if self.m_stations < 2:
             raise ValueError("a chain needs at least two stations")
         hops = self.m_stations - 1
@@ -66,12 +63,6 @@ class ChainParams:
 
 
 @dataclass(frozen=True)
-class BellBranch:
-    outcomes: tuple
-    probability: float
-
-
-@dataclass(frozen=True)
 class ChainPlan:
     m_stations: int
     total_length_km: float
@@ -85,52 +76,33 @@ class ChainPlan:
     feasible: bool
 
 
+def _xor_combine(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Weights of the label (a1^a2, b1^b2) for independent labels drawn from w1 and w2."""
+    out = np.zeros(4)
+    for i1, (a1, b1) in enumerate(BELL_BITS):
+        for i2, (a2, b2) in enumerate(BELL_BITS):
+            out[BELL_BITS.index((a1 ^ a2, b1 ^ b2))] += w1[i1] * w2[i2]
+    return out
+
+
 def bell_measurement(
-    two_pairs: DensityMatrix, params: GateNoiseParams
-) -> tuple[DensityMatrix, tuple]:
+    left: BellDiagonalState, right: BellDiagonalState, params: GateNoiseParams
+) -> BellDiagonalState:
     """Swap two e-bits sharing a station into one end-to-end pair.
 
-    Qubit order is (end_a, mid_1, mid_2, end_b). Outcome (x, y) from the
-    mid qubits identifies the Bell projection; the correction X^(y^1) Z^x on
-    end_b retargets every branch to psi+, and the branches are averaged with
-    their probabilities.
+    The circuit is a noisy CNOT on the two middle qubits, a Hadamard, noisy
+    readouts x and y, and the correction X^(y^1) Z^x on the far end, averaged
+    over the outcomes. On Bell labels (phase a, parity b) the ideal swap
+    gives (a1^a2, b1^b2^1). A wrong x applies the wrong Z correction and
+    flips the phase bit, a wrong y flips the parity bit, each with
+    probability 1 - eta; with probability 1 - f_op the gate leaves the end
+    pair maximally mixed.
     """
-    if two_pairs.n_qubits != 4:
-        raise ValueError("Bell measurement expects a 4-qubit state")
-    rho = noisy_two_qubit_gate(two_pairs, "cnot", (1, 2), params)
-    h_full = expand_operator(HADAMARD, 4, (1,))
-    rotated = h_full @ rho.matrix @ h_full.conj().T
-    rho = DensityMatrix.from_matrix((rotated + rotated.conj().T) / 2.0)
-    averaged = np.zeros((4, 4), dtype=complex)
-    branches = []
-    for rec_y in noisy_measure_z(rho, 2, params.eta_meas):
-        if rec_y.degenerate:
-            continue
-        for rec_x in noisy_measure_z(rec_y.post_state, 1, params.eta_meas):
-            if rec_x.degenerate:
-                continue
-            prob = rec_y.probability * rec_x.probability
-            x, y = rec_x.outcome, rec_y.outcome
-            correction = (
-                np.linalg.matrix_power(PAULI_X, (y ^ 1))
-                @ np.linalg.matrix_power(PAULI_Z, x)
-            )
-            c_full = expand_operator(correction, 2, (1,))
-            corrected = c_full @ rec_x.post_state.matrix @ c_full.conj().T
-            averaged += prob * corrected
-            branches.append(BellBranch(outcomes=(x, y), probability=prob))
-    state = DensityMatrix.from_matrix(averaged)
-    return state, tuple(branches)
-
-
-def swap_chain(
-    chain: ChainParams, per_link_state: DensityMatrix, params: GateNoiseParams
-) -> DensityMatrix:
-    """m levels of pairwise swapping over identical per-link states."""
-    state = per_link_state
-    for _ in range(chain.n_swap_levels):
-        state, _ = bell_measurement(tensor(state, state), params)
-    return state
+    right_readout = {True: params.eta_meas, False: 1.0 - params.eta_meas}
+    # distribution of the bits added to (a1^a2, b1^b2): (0, 1) when both readouts are right
+    offset = np.array([right_readout[a == 0] * right_readout[b == 1] for a, b in BELL_BITS])
+    mixed = _xor_combine(_xor_combine(left.weights, right.weights), offset)
+    return BellDiagonalState(params.f_op * mixed + (1.0 - params.f_op) / 4.0)
 
 
 def t_repe(chain: ChainParams, t_proj_us: float) -> float:
@@ -149,24 +121,23 @@ class ChainFidelityTable:
 
 
 def chain_fidelity_table(
-    initial: DensityMatrix,
+    initial: BellDiagonalState,
     n_swap_levels: int,
     params: GateNoiseParams,
     n_max: int = 8,
 ) -> ChainFidelityTable:
-    ladder1 = purify_n_rounds(initial, n_max, params)
-    states1 = (initial,) + tuple(r.output_state for r in ladder1.rounds)
+    states1, p1 = purify_ladder_weights(initial, n_max, params)
     end_f, end_p = [], []
     for state in states1:
         end = state
         for _ in range(n_swap_levels):
-            end, _ = bell_measurement(tensor(end, end), params)
-        ladder2 = purify_n_rounds(end, n_max, params)
-        end_f.append(ladder2.fidelities)
-        end_p.append(ladder2.success_probabilities)
+            end = bell_measurement(end, end, params)
+        states2, p2 = purify_ladder_weights(end, n_max, params)
+        end_f.append(tuple(s.fidelity for s in states2))
+        end_p.append(p2)
     return ChainFidelityTable(
-        pre_swap_fidelities=ladder1.fidelities,
-        pre_swap_p=ladder1.success_probabilities,
+        pre_swap_fidelities=tuple(s.fidelity for s in states1),
+        pre_swap_p=p1,
         end_fidelities=tuple(end_f),
         end_p=tuple(end_p),
     )
@@ -261,14 +232,11 @@ def rate_vs_distance(
     """Optimized plans over a (distance, station count, FC) grid.
 
     Rows come out ordered by (L, M, fc). The fidelity recurrences do not
-    depend on the link length, so they are computed once per station count.
+    depend on the link length, so they are computed once per swap-level count.
     """
-    tables = {}
-    for m_stations in set(stations):
-        levels = ChainParams(m_stations, 1.0).n_swap_levels
-        if levels not in tables:
-            initial = qc_zone_state(link_template, noise, f_move)
-            tables[levels] = chain_fidelity_table(initial, levels, noise, n_max)
+    initial = qc_zone_state(link_template, noise, f_move)
+    levels = {ChainParams(m_stations, 1.0).n_swap_levels for m_stations in stations}
+    tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
     rows = []
     for length in sorted(distances_km):
         for m_stations in sorted(stations):

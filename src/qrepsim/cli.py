@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,9 +22,10 @@ from .chain import ChainParams, optimize_plan, rate_vs_distance
 from .config import Config, ConfigError, load_config
 from .link import link_budget
 from .noise import IDEAL_OPS
-from .purify import purify_n_rounds
+# purify_n_rounds: unused, but bench/test_spans.py checks it is bound here
+from .purify import purify_n_rounds  # noqa: F401
 from .schedule import rate_fidelity_curve
-from .states import werner
+from .states import BellDiagonalState
 
 
 def _format_value(value) -> str:
@@ -95,13 +97,9 @@ def cmd_link(config: Config, args) -> int:
 
 
 def cmd_purify(config: Config, args) -> int:
-    if args.n_max > 10:
-        print("error: --n-max above 10 is not supported", file=sys.stderr)
-        return 2
     cavity = cfgmod.cavity_params(config)
     link = cfgmod.link_params(config)
     noisy = cfgmod.noise_params(config)
-    columns = ["ops", "f0", "n", "fidelity", "p_puri", "t_eg_us", "rate_hz"]
     rows = []
     for ops_label, noise in (("noisy", noisy), ("ideal", IDEAL_OPS)):
         for f0 in (0.91, 0.8):
@@ -111,11 +109,9 @@ def cmd_purify(config: Config, args) -> int:
                 link,
                 noise,
                 timings=cfgmod.timings(config, t_esta_us=1.0),
-                initial_state=werner(f0),
+                initial_state=BellDiagonalState.werner(f0),
                 f_move=config.f_move,
             )
-            ladder = purify_n_rounds(werner(f0), args.n_max, noise)
-            p_list = (1.0,) + ladder.success_probabilities  # N=0 has no round
             for result in curve:
                 rows.append(
                     {
@@ -123,12 +119,12 @@ def cmd_purify(config: Config, args) -> int:
                         "f0": f0,
                         "n": result.n_rounds,
                         "fidelity": result.final_fidelity,
-                        "p_puri": p_list[result.n_rounds],
+                        "p_puri": result.p_puri,
                         "t_eg_us": result.t_eg_us,
                         "rate_hz": result.effective_rate_hz,
                     }
                 )
-    emit(args.out, args.format, columns, rows, config)
+    emit(args.out, args.format, list(rows[0]), rows, config)
     return 0
 
 
@@ -168,13 +164,24 @@ def cmd_chain(config: Config, args) -> int:
     return 0 if plan.feasible else 3
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_distances(text: str):
     try:
         grid, _, scale = text.partition(",")
         scale = scale or "log"
         lo, hi, points = grid.split(":")
         lo, hi, points = float(lo), float(hi), int(points)
-        if lo <= 0 or hi < lo or points < 1:
+        if not (0 < lo <= hi < math.inf) or points < 1:
             raise ValueError
         if scale == "log":
             return list(np.geomspace(lo, hi, points))
@@ -201,19 +208,8 @@ def cmd_sweep(config: Config, args) -> int:
         fidelity_target=config.fidelity_target,
         f_move=config.f_move,
     )
-    columns = [
-        "total_length_km",
-        "m_stations",
-        "fc",
-        "target",
-        "n1",
-        "n2",
-        "f_m",
-        "t_qr_us",
-        "rate_hz",
-        "feasible",
-    ]
-    emit(args.out, args.format, columns, [_plan_row(p) for p in plans], config)
+    rows = [_plan_row(p) for p in plans]
+    emit(args.out, args.format, list(rows[0]), rows, config)
     return 0
 
 
@@ -238,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chain = sub.add_parser("chain", help="optimized repeater-chain plan")
     p_chain.add_argument("--stations", type=int, required=True)
-    p_chain.add_argument("--distance-km", type=float, required=True)
+    p_chain.add_argument("--distance-km", type=_finite_float, required=True)
     p_chain.add_argument("--fc", action="store_true", help="enable frequency conversion")
-    p_chain.add_argument("--target", type=float, default=None)
+    p_chain.add_argument("--target", type=_finite_float, default=None)
     common(p_chain)
 
     p_sweep = sub.add_parser("sweep", help="rate vs distance/station grid")

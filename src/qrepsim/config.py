@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from .link import CavityParams, LinkParams
 from .noise import GateNoiseParams
 from .schedule import OperationTimings
+from .states import check_finite
 
 
 class ConfigError(ValueError):
@@ -108,6 +109,7 @@ def load_config(path: str | None) -> Config:
 def validate_config(config: Config) -> None:
     """Re-run every module-level invariant on the resolved values."""
     try:
+        check_finite(config)
         cavity_params(config)
         link_params(config)
         noise_params(config)

@@ -19,12 +19,11 @@ the flight time is paid once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .noise import GateNoiseParams, swap_gate, transport_channel
-from .states import DensityMatrix, partial_trace, tensor, computational_state, werner
+from .noise import GateNoiseParams
+from .states import BellDiagonalState, check_finite
 
 C_VAC_M_PER_S = 299792458.0
 
@@ -43,6 +42,7 @@ class CavityParams:
     gamma_mhz: float = 3.0
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("g_mhz", "kappa_mhz", "kappa0_mhz", "gamma_mhz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -57,7 +57,7 @@ class CavityParams:
 
     @property
     def kappa_rad_per_s(self) -> float:
-        return 2.0 * np.pi * self.kappa_mhz * 1e6
+        return 2.0 * math.pi * self.kappa_mhz * 1e6
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ class LinkParams:
     cz_accounting: str = "paper"
 
     def __post_init__(self):
+        check_finite(self)
         if self.length_km <= 0:
             raise ValueError("length_km must be positive")
         if self.attenuation_db_per_km < 0 or self.attenuation_db_per_km_fc < 0:
@@ -125,7 +126,7 @@ class LinkBudget:
     p_succ: float
     t_attempt_us: float
     t_esta_us: float
-    heralded_state: DensityMatrix
+    heralded_state: BellDiagonalState
 
 
 def reflection_amplitude(p: CavityParams, atom_coupled: bool) -> complex:
@@ -184,28 +185,31 @@ def expected_esta(p: CavityParams, lp: LinkParams) -> tuple[float, float]:
     return t_attempt, t_esta
 
 
-def heralded_state(lp: LinkParams) -> DensityMatrix:
-    """Two-qubit e-bit after heralding, with technical errors folded in.
+def heralded_state(lp: LinkParams) -> BellDiagonalState:
+    """Bell weights of the e-bit after heralding, technical errors folded in.
 
     The conditional-X correction is assumed applied, so the target is psi+;
     the combined technical infidelity enters as a single Werner parameter.
     """
-    return werner(lp.technical_fidelity)
+    return BellDiagonalState.werner(lp.technical_fidelity)
 
 
 def qc_zone_state(
     lp: LinkParams, noise: GateNoiseParams, f_move: float = 0.96
-) -> DensityMatrix:
-    """E-bit as delivered to the computation zone.
+) -> BellDiagonalState:
+    """Bell weights of the e-bit as delivered to the computation zone.
 
     Heralded pair -> noisy three-CNOT swap onto a fresh shuttle qubit ->
-    depolarizing transport of the shuttle.
+    depolarizing transport of the shuttle. Each CNOT fails to I/4 on the pair
+    with probability 1 - f_op, and transport replaces the shuttle by I/2 with
+    probability p = 4 (1 - f_move) / 3, so Werner in gives Werner out.
     """
-    pair = heralded_state(lp)
-    with_shuttle = tensor(pair, computational_state("0"))
-    swapped = swap_gate(with_shuttle, 1, 2, noise)
-    moved_pair = partial_trace(swapped, keep=(0, 2))
-    return transport_channel(moved_pair, 1, f_move)
+    if not 0.25 < f_move <= 1.0:
+        raise ValueError(f"f_move {f_move} outside (0.25, 1]")
+    p = 4.0 * (1.0 - f_move) / 3.0
+    f3 = noise.f_op**3
+    swapped = f3 * heralded_state(lp).fidelity + (1.0 - f3) / 4.0
+    return BellDiagonalState.werner((1.0 - p) * swapped + p / 4.0)
 
 
 def link_budget(p: CavityParams, lp: LinkParams) -> LinkBudget:

@@ -1,12 +1,14 @@
-"""Noise models for local operations.
+"""Noise models for local operations, as dense Kraus channels.
 
 Imperfect two-qubit gates are Werner-style: with probability ``f_op`` the
 gate acts ideally, otherwise the gate pair is replaced by the two-qubit
 maximally mixed state (the rest of the register keeps its marginal).
 Measurement error is a classical outcome flip with probability
 ``1 - eta_meas``. Both choices are the simplest CPTP models consistent with
-a single-number error description; the channel representation is explicit
-Kraus operators so alternative models can be swapped in.
+a single-number error description. The engine applies them to Bell
+weights in closed form; the Kraus channels here are the dense reference it
+is tested against, and no command runs them. The closed forms hold for these
+two models only: a different model would have to run on the dense path.
 """
 
 from __future__ import annotations

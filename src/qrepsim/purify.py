@@ -13,10 +13,10 @@ error species the parity check suppresses. Without this Deutsch-style
 balancing, phase errors random-walk and the iteration diverges after the
 first round instead of converging to the high-fidelity plateau.
 
-A Bell-diagonal fast path mirrors the full 16-dimensional circuit exactly
-for Bell-diagonal inputs: the gate noise replaces the register by the
-maximally mixed state, so the whole round stays inside the Bell-diagonal
-manifold.
+The engine runs rounds on Bell weights (``purify_round_weights``,
+``purify_ladder_weights``): gate noise leaves the maximally mixed state, so a
+round never leaves the Bell-diagonal manifold. ``purify_round`` and
+``purify_n_rounds`` are the 16-dimensional dense reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .noise import GateNoiseParams, noisy_measure_z, noisy_two_qubit_gate
 from .states import (
+    BELL_BITS,
     PSI_PLUS,
     BellDiagonalState,
     DensityMatrix,
@@ -40,9 +41,6 @@ from .states import (
 class PurificationError(ValueError):
     """Raised when a round degenerates (acceptance probability ~ 0)."""
 
-
-# Bell label <-> (phase bit a, parity bit b); |B(a,b)> = (|0 b> + (-1)^a |1 1^b>)/sqrt(2)
-_AB = ((0, 0), (1, 0), (0, 1), (1, 1))  # BELL_LABELS order
 
 _ROT_A = (ID2 - 1j * PAULI_X) / np.sqrt(2)  # exp(-i pi X / 4)
 _ROT_B = (ID2 + 1j * PAULI_X) / np.sqrt(2)  # exp(+i pi X / 4)
@@ -212,10 +210,10 @@ def purify_round_weights(
     f2 = params.f_op**2
     eta = params.eta_meas
     accept = {0: eta**2 + (1 - eta) ** 2, 1: 2 * eta * (1 - eta)}
-    index = {ab: i for i, ab in enumerate(_AB)}
+    index = {ab: i for i, ab in enumerate(BELL_BITS)}
     out = np.full(4, (1.0 - f2) / 8.0)
-    for i1, (a1, b1) in enumerate(_AB):
-        for i2, (a2, b2) in enumerate(_AB):
+    for i1, (a1, b1) in enumerate(BELL_BITS):
+        for i2, (a2, b2) in enumerate(BELL_BITS):
             out[index[(a1 ^ a2, b1)]] += f2 * w1[i1] * w2[i2] * accept[b1 ^ b2]
     p_puri = float(out.sum())
     if p_puri < 1e-12:
@@ -223,3 +221,17 @@ def purify_round_weights(
             "purification round degenerated: acceptance probability below 1e-12"
         )
     return BellDiagonalState(out / p_puri), p_puri
+
+
+def purify_ladder_weights(
+    initial: BellDiagonalState, n: int, params: GateNoiseParams
+) -> tuple[tuple, tuple]:
+    """Nested recurrence on Bell weights: (states after 0..n rounds, P_puri per round)."""
+    if n < 0:
+        raise ValueError("round count must be nonnegative")
+    states, p_list = [initial], []
+    for _ in range(n):
+        state, p_puri = purify_round_weights(states[-1], states[-1], params)
+        states.append(state)
+        p_list.append(p_puri)
+    return tuple(states), tuple(p_list)

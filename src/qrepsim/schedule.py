@@ -20,8 +20,10 @@ from dataclasses import dataclass, replace
 
 from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
 from .noise import GateNoiseParams
-from .purify import purify_n_rounds
-from .states import DensityMatrix
+from .purify import purify_ladder_weights
+from .states import BellDiagonalState, check_finite
+# purify_n_rounds: unused, but bench/test_spans.py checks it is bound here
+from .purify import purify_n_rounds  # noqa: F401
 
 MOVE_ACCOUNTINGS = ("averaged", "explicit")
 
@@ -43,6 +45,7 @@ class OperationTimings:
     parallel_links: int = 1
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("t_esta_us", "t_swap_us", "t_move_us", "t_proj_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -70,6 +73,7 @@ class ScheduleResult:
     effective_rate_hz: float
     final_fidelity: float
     generation_limited: bool
+    p_puri: float  # success probability of the last round, 1 at N = 0
 
 
 def t_puri(t_proj_us: float, p_puri: float) -> float:
@@ -101,6 +105,7 @@ def t_eg(
         effective_rate_hz=timings.parallel_links * 1e6 / total,
         final_fidelity=final_fidelity,
         generation_limited=generation >= purification,
+        p_puri=p_list[n - 1] if n else 1.0,
     )
 
 
@@ -110,7 +115,7 @@ def rate_fidelity_curve(
     link: LinkParams,
     noise: GateNoiseParams,
     timings: OperationTimings | None = None,
-    initial_state: DensityMatrix | None = None,
+    initial_state: BellDiagonalState | None = None,
     f_move: float = 0.96,
 ) -> list[ScheduleResult]:
     """Fidelity and effective rate versus purification rounds N = 0..n_max.
@@ -127,11 +132,9 @@ def rate_fidelity_curve(
         timings = replace(timings, t_esta_us=t_esta_us, l_km=link.length_km)
     if initial_state is None:
         initial_state = qc_zone_state(link, noise, f_move)
-    schedule = purify_n_rounds(initial_state, n_max, noise)
-    fidelities = schedule.fidelities
-    p_list = schedule.success_probabilities
+    states, p_list = purify_ladder_weights(initial_state, n_max, noise)
     return [
-        t_eg(n, timings, p_list, final_fidelity=fidelities[n]) for n in range(n_max + 1)
+        t_eg(n, timings, p_list, final_fidelity=states[n].fidelity) for n in range(n_max + 1)
     ]
 
 

@@ -1,17 +1,17 @@
-"""Dense density-matrix algebra for small multi-qubit systems.
+"""Bell weights for the engine, and the dense algebra that checks it.
 
-Everything here operates on exact 2^n x 2^n complex matrices with n <= 4.
-Qubit ordering is big-endian throughout the package: basis index i spells
-|q0 q1 ... q_{n-1}> with qubit 0 as the most significant bit.
-
-Physicality (trace one, Hermitian, positive semidefinite) is checked every
-time a :class:`DensityMatrix` is constructed; at these dimensions the checks
-are cheap and catch modelling bugs immediately.
+Production runs on :class:`BellDiagonalState`, four weights per pair in
+``BELL_LABELS`` order: every stage maps Bell-diagonal pairs to Bell-diagonal
+pairs. The rest is the dense reference the tests compare the engine with:
+exact 2^n x 2^n complex matrices with n <= 4, in big-endian qubit order
+(basis index i spells |q0 q1 ... q_{n-1}>), whose physicality (trace one,
+Hermitian, positive semidefinite) is checked on every construction.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,8 @@ PHI_MINUS = "phi-"
 PSI_PLUS = "psi+"
 PSI_MINUS = "psi-"
 BELL_LABELS = (PHI_PLUS, PHI_MINUS, PSI_PLUS, PSI_MINUS)
+# (phase bit a, parity bit b) of each label: |B(a,b)> = (|0 b> + (-1)^a |1 1^b>)/sqrt(2)
+BELL_BITS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 ID2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,6 +47,13 @@ CZ = np.diag([1, 1, 1, -1]).astype(complex)
 
 class PhysicalityError(ValueError):
     """Raised when a matrix fails trace/Hermiticity/positivity checks."""
+
+
+def check_finite(params) -> None:
+    """Reject a NaN or infinite float field of a parameter dataclass."""
+    for name, value in vars(params).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _ket(bits: str) -> np.ndarray:
@@ -134,6 +143,14 @@ class BellDiagonalState:
         w = w / w.sum()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def werner(cls, fidelity: float) -> "BellDiagonalState":
+        """Weight F on psi+ and (1-F)/3 on each other Bell state."""
+        if not 0.25 <= fidelity <= 1.0:
+            raise ValueError(f"Werner fidelity {fidelity} outside [0.25, 1]")
+        rest = (1.0 - fidelity) / 3.0
+        return cls(np.array([rest, rest, fidelity, rest]))  # BELL_LABELS order
 
     @property
     def fidelity(self) -> float:
@@ -296,11 +313,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def werner(fidelity: float) -> DensityMatrix:
     """Mixture of psi+ (weight F) with the other Bell states, (1-F)/3 each."""
-    if not 0.25 <= fidelity <= 1.0:
-        raise ValueError(f"Werner fidelity {fidelity} outside [0.25, 1]")
-    rest = (1.0 - fidelity) / 3.0
-    weights = [rest, rest, fidelity, rest]  # BELL_LABELS order
-    return BellDiagonalState(np.array(weights)).to_density_matrix()
+    return BellDiagonalState.werner(fidelity).to_density_matrix()
 
 
 def to_bell_diagonal(rho: DensityMatrix) -> tuple[BellDiagonalState, float]:

@@ -164,12 +164,33 @@ def psi_plus_fidelity(rho):
     return float(np.real(PSI_PLUS_KET.conj() @ rho @ PSI_PLUS_KET))
 
 
+# phi+, phi-, psi+, psi- as the columns
+BELL_BASIS = np.array(
+    [[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, -1], [1, -1, 0, 0]], dtype=complex
+) / np.sqrt(2)
+
+
 def werner_dm(f):
-    kets = [
-        np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-        np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-        np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
-        np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
-    ]
     weights = [(1 - f) / 3, (1 - f) / 3, f, (1 - f) / 3]
-    return sum(w * np.outer(k, k.conj()) for w, k in zip(weights, kets))
+    return BELL_BASIS @ np.diag(weights) @ BELL_BASIS.conj().T
+
+
+def bell_weights(rho):
+    """(diagonal, largest off-diagonal magnitude) of a pair in the Bell basis."""
+    in_bell = BELL_BASIS.conj().T @ rho @ BELL_BASIS
+    diagonal = np.real(np.diag(in_bell))
+    return diagonal, float(np.max(np.abs(in_bell - np.diag(np.diag(in_bell)))))
+
+
+def depolarize(rho, qubit, p):
+    """The qubit is replaced by I/2 with probability p."""
+    n = n_qubits(rho)
+    rest = [q for q in range(n) if q != qubit]
+    mixed = permuted_tensor(ID2 / 2.0, ptrace(rho, rest), [qubit], n)
+    return (1.0 - p) * rho + p * mixed
+
+
+def qc_zone_state(f_tech, f_op, f_move):
+    """Werner pair -> three noisy CNOTs onto a fresh |0> shuttle -> transport."""
+    rho = swap_gate(np.kron(werner_dm(f_tech), P0), 1, 2, f_op)
+    return depolarize(ptrace(rho, [0, 2]), 1, 4.0 * (1.0 - f_move) / 3.0)

@@ -26,6 +26,7 @@ from qrepsim import (
     herald_success,
     optimize_plan,
     partial_trace,
+    purify_ladder_weights,
     purify_n_rounds,
     purify_round,
     purify_round_weights,
@@ -100,8 +101,7 @@ def test_criterion_3_swap_fidelity():
 
 
 def test_criterion_4_initial_qc_fidelity():
-    state = qc_zone_state(LinkParams(), NOISY)
-    fid = fidelity_bell(state, PSI_PLUS)
+    fid = qc_zone_state(LinkParams(), NOISY).fidelity
     _report(
         4,
         f"herald(0.96) . swap . move(0.96) composition: F0 = {fid:.5f}",
@@ -168,7 +168,7 @@ def test_criterion_7_rates_and_calibration():
     # calibration: solve t_proj from the 1.1 kHz target
     _, t_esta = expected_esta(CavityParams(), LinkParams())
     timings = OperationTimings(t_esta_us=t_esta, l_km=0.1)
-    p_list = purify_n_rounds(qc_zone_state(LinkParams(), NOISY), 4, NOISY).success_probabilities
+    p_list = purify_ladder_weights(qc_zone_state(LinkParams(), NOISY), 4, NOISY)[1]
     t_proj = calibrate_t_proj(1100.0, 4, timings, p_list)
     _report(
         7,
@@ -185,10 +185,11 @@ def test_criterion_7_rates_and_calibration():
 def test_criterion_8_swapping_oracle():
     checks = {}
     for f in (0.8, 0.9, 0.95, 0.99):
-        out, _ = bell_measurement(tensor(werner(f), werner(f)), IDEAL_OPS)
+        w = BellDiagonalState.werner(f)
+        out = bell_measurement(w, w, IDEAL_OPS)
         expected = oracle.werner_swap_step(f)
         checks[f"M=3 ideal chain at F={f} matches F^2+(1-F)^2/3 to 1e-9"] = (
-            abs(fidelity_bell(out, PSI_PLUS) - expected) <= 1e-9
+            abs(out.fidelity - expected) <= 1e-9
         )
     # feedforward branch equivalence, ideal operations
     from qrepsim import noisy_measure_z
@@ -289,10 +290,12 @@ def test_criterion_10_physicality_suite():
     # check every channel constructor used anywhere above.
     produced = [
         werner(0.91),
-        qc_zone_state(LinkParams(), NOISY),
+        qc_zone_state(LinkParams(), NOISY).to_density_matrix(),
         purify_round(werner(0.91), werner(0.91), NOISY).output_state,
         purify_n_rounds(werner(0.8), 4, NOISY).final_state,
-        bell_measurement(tensor(werner(0.95), werner(0.95)), NOISY)[0],
+        bell_measurement(
+            BellDiagonalState.werner(0.95), BellDiagonalState.werner(0.95), NOISY
+        ).to_density_matrix(),
         transport_channel(bell_state(PSI_PLUS), 1, 0.96),
     ]
     checks = {}

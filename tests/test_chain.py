@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dense
 import oracle
 from qrepsim import (
+    BellDiagonalState,
     CavityParams,
     ChainParams,
     GateNoiseParams,
@@ -11,23 +13,28 @@ from qrepsim import (
     PSI_PLUS,
     bell_measurement,
     bell_state,
-    fidelity_bell,
     optimize_plan,
+    purify_n_rounds,
     rate_vs_distance,
-    swap_chain,
     t_repe,
     tensor,
     werner,
 )
+from qrepsim.chain import chain_fidelity_table
 
 NOISY = GateNoiseParams()
 PIPELINED = LinkParams(herald_mode="pipelined")
+W = BellDiagonalState.werner
+PERFECT = BellDiagonalState(np.array([0.0, 0.0, 1.0, 0.0]))
 
 
 def test_ideal_swap_of_perfect_pairs():
+    assert bell_measurement(PERFECT, PERFECT, IDEAL_OPS).fidelity == pytest.approx(
+        1.0, abs=1e-12
+    )
+    # the dense reference averages outcome branches whose probabilities sum to one
     pairs = tensor(bell_state(PSI_PLUS), bell_state(PSI_PLUS))
-    out, branches = bell_measurement(pairs, IDEAL_OPS)
-    assert fidelity_bell(out, PSI_PLUS) == pytest.approx(1.0, abs=1e-12)
+    _, branches = dense.bell_measurement(pairs, IDEAL_OPS)
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -60,66 +67,73 @@ def test_feedforward_branch_equivalence():
 
 @pytest.mark.parametrize("fidelity", [0.8, 0.9, 0.95, 0.99])
 def test_ideal_swap_matches_werner_recurrence(fidelity):
-    pairs = tensor(werner(fidelity), werner(fidelity))
-    out, _ = bell_measurement(pairs, IDEAL_OPS)
-    assert fidelity_bell(out, PSI_PLUS) == pytest.approx(
-        oracle.werner_swap_step(fidelity), abs=1e-9
-    )
+    out = bell_measurement(W(fidelity), W(fidelity), IDEAL_OPS)
+    assert out.fidelity == pytest.approx(oracle.werner_swap_step(fidelity), abs=1e-9)
 
 
 def test_ideal_swap_point_value():
-    pairs = tensor(werner(0.95), werner(0.95))
-    out, _ = bell_measurement(pairs, IDEAL_OPS)
-    assert fidelity_bell(out, PSI_PLUS) == pytest.approx(0.9033333333, abs=1e-9)
+    out = bell_measurement(W(0.95), W(0.95), IDEAL_OPS)
+    assert out.fidelity == pytest.approx(0.9033333333, abs=1e-9)
 
 
 def test_noisy_swap_against_bruteforce():
-    pairs = tensor(werner(0.97), werner(0.93))
-    out, _ = bell_measurement(pairs, NOISY)
-    ref = oracle.bell_measurement(pairs.matrix, 0.995, 0.99)
-    assert np.max(np.abs(out.matrix - ref)) <= 1e-9
+    out = bell_measurement(W(0.97), W(0.93), NOISY)
+    ref = oracle.bell_measurement(np.kron(werner(0.97).matrix, werner(0.93).matrix), 0.995, 0.99)
+    assert np.max(np.abs(out.to_density_matrix().matrix - ref)) <= 1e-9
     # noise strictly degrades relative to the ideal recurrence
-    ideal, _ = bell_measurement(pairs, IDEAL_OPS)
-    assert fidelity_bell(out, PSI_PLUS) < fidelity_bell(ideal, PSI_PLUS)
+    assert out.fidelity < bell_measurement(W(0.97), W(0.93), IDEAL_OPS).fidelity
 
 
 def test_bell_measurement_arity():
+    # the dense reference swap consumes one 4-qubit state
     with pytest.raises(ValueError):
-        bell_measurement(werner(0.9), NOISY)
+        dense.bell_measurement(werner(0.9), NOISY)
+
+
+def _end_fidelity(m_stations, initial, params):
+    """End-to-end fidelity after the swap levels of an M-station chain, no purification."""
+    levels = ChainParams(m_stations, 1.0).n_swap_levels
+    return chain_fidelity_table(initial, levels, params, n_max=0).end_fidelities[0][0]
 
 
 def test_swap_chain_degenerate():
-    chain = ChainParams(2, 0.1)
-    state = werner(0.93)
-    out = swap_chain(chain, state, NOISY)
-    assert np.max(np.abs(out.matrix - state.matrix)) == 0.0
+    # a two-station chain performs no swap: the end pair is the link pair
+    assert _end_fidelity(2, W(0.93), NOISY) == W(0.93).fidelity
 
 
 def test_swap_chain_two_levels_ideal():
-    chain = ChainParams(5, 1.0)
-    out = swap_chain(chain, werner(0.95), IDEAL_OPS)
     expected = oracle.werner_swap_step(oracle.werner_swap_step(0.95))
-    assert fidelity_bell(out, PSI_PLUS) == pytest.approx(expected, abs=1e-9)
+    assert _end_fidelity(5, W(0.95), IDEAL_OPS) == pytest.approx(expected, abs=1e-9)
 
 
 def test_swap_chain_perfect_inputs_any_m():
     for m_stations in (2, 3, 5, 9, 17):
-        chain = ChainParams(m_stations, 1.0)
-        out = swap_chain(chain, bell_state(PSI_PLUS), IDEAL_OPS)
-        assert fidelity_bell(out, PSI_PLUS) == pytest.approx(1.0, abs=1e-9)
+        assert _end_fidelity(m_stations, PERFECT, IDEAL_OPS) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_swap_chain_noisy_regression():
-    chain = ChainParams(5, 1.0)
-    out = swap_chain(chain, werner(0.99), NOISY)
+    fid = _end_fidelity(5, W(0.99), NOISY)
     ref = oracle.bell_measurement(
         np.kron(werner(0.99).matrix, werner(0.99).matrix), 0.995, 0.99
     )
     ref = oracle.bell_measurement(np.kron(ref, ref), 0.995, 0.99)
-    fid = fidelity_bell(out, PSI_PLUS)
     assert fid == pytest.approx(oracle.psi_plus_fidelity(ref), abs=1e-9)
     # frozen regression baseline
     assert fid == pytest.approx(0.8960895, abs=1e-6)
+
+
+def test_chain_fidelity_table_matches_dense_composition():
+    # pre-swap ladder -> one swap level -> post-swap ladder, all dense
+    table = chain_fidelity_table(W(0.93), 1, NOISY, n_max=2)
+    ladder1 = purify_n_rounds(werner(0.93), 2, NOISY)
+    assert np.allclose(table.pre_swap_fidelities, ladder1.fidelities, rtol=0, atol=1e-12)
+    assert np.allclose(table.pre_swap_p, ladder1.success_probabilities, rtol=0, atol=1e-12)
+    states1 = (ladder1.initial_state,) + tuple(r.output_state for r in ladder1.rounds)
+    for n1, rho in enumerate(states1):
+        end, _ = dense.bell_measurement(tensor(rho, rho), NOISY)
+        ladder2 = purify_n_rounds(end, 2, NOISY)
+        assert np.allclose(table.end_fidelities[n1], ladder2.fidelities, rtol=0, atol=1e-12)
+        assert np.allclose(table.end_p[n1], ladder2.success_probabilities, rtol=0, atol=1e-12)
 
 
 def test_chain_params_validation():

@@ -102,6 +102,13 @@ def test_cli_missing_config_file(capsys):
     assert main(["link", "--config", "/nonexistent/path.cfg"]) == 2
 
 
+def test_cli_purify_n_max_above_10_rejected(tmp_path, capsys):
+    out = tmp_path / "purify.csv"
+    assert main(["purify", "--n-max", "11", "--out", str(out)]) == 2
+    assert "error: n_max above 10 is not supported" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_purify_rows(tmp_path):
     out = tmp_path / "purify.csv"
     assert main(["purify", "--n-max", "4", "--out", str(out)]) == 0
@@ -188,3 +195,51 @@ def test_cli_json_determinism(tmp_path):
     main(["purify", "--n-max", "2", "--format", "json", "--out", str(a)])
     main(["purify", "--n-max", "2", "--format", "json", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+# Non-finite input: each of these was once accepted and gave NaN rows marked
+# feasible, or a traceback, instead of a configuration error.
+
+
+def test_cli_chain_rejects_nan_distance(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["chain", "--stations", "5", "--distance-km", "nan"])
+    assert stop.value.code == 2
+    assert "--distance-km: 'nan' is not a finite number" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_infinite_distance(capsys):
+    assert main(["sweep", "--distances", "1:inf:3"]) == 2
+    assert "bad --distances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("t_proj_us = nan", ["chain", "--stations", "5", "--distance-km", "25"]),
+        ("g_mhz = nan", ["link"]),
+        ("length_km = inf", ["link"]),
+    ],
+)
+def test_cli_rejects_non_finite_config(tmp_path, capsys, line, argv):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    key, _, value = line.partition(" = ")
+    assert f"config error: {key} must be finite, got {value}" in capsys.readouterr().err
+
+
+def test_params_reject_non_finite():
+    from qrepsim import CavityParams, ChainParams, LinkParams, OperationTimings
+
+    nan, inf = float("nan"), float("inf")
+    for build in (
+        lambda: CavityParams(g_mhz=nan),
+        lambda: LinkParams(length_km=inf),
+        lambda: LinkParams(fiber_index=nan),
+        lambda: OperationTimings(t_esta_us=1.0, t_proj_us=nan),
+        lambda: OperationTimings(t_esta_us=inf),
+        lambda: ChainParams(5, nan),
+    ):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()

@@ -7,7 +7,6 @@ from qrepsim import (
     PSI_PLUS,
     bell_state,
     expected_esta,
-    fidelity_bell,
     herald_success,
     heralded_state,
     link_budget,
@@ -161,8 +160,8 @@ def test_pipelined_never_slower():
 
 
 def test_heralded_state_fidelity():
-    assert fidelity_bell(heralded_state(LinkParams()), PSI_PLUS) == pytest.approx(0.96)
-    perfect = heralded_state(LinkParams(technical_fidelity=1.0))
+    assert heralded_state(LinkParams()).fidelity == pytest.approx(0.96)
+    perfect = heralded_state(LinkParams(technical_fidelity=1.0)).to_density_matrix()
     assert np.allclose(perfect.matrix, bell_state(PSI_PLUS).matrix, atol=1e-12)
 
 
@@ -171,7 +170,7 @@ def test_link_budget_bundle():
     assert budget.p_cz == pytest.approx(0.81, abs=1e-12)
     assert budget.p_succ == pytest.approx(0.36, abs=0.01)
     assert budget.t_esta_us >= budget.t_attempt_us
-    budget.heralded_state.validate()
+    budget.heralded_state.to_density_matrix().validate()
 
 
 def test_cavity_params_validation():

@@ -162,8 +162,7 @@ def test_noise_monotonicity():
 
 def test_qc_zone_composition_lands_in_window():
     # herald(0.96) -> noisy swap -> move(0.96)
-    state = qc_zone_state(LinkParams(), GateNoiseParams())
-    fid = fidelity_bell(state, PSI_PLUS)
+    fid = qc_zone_state(LinkParams(), GateNoiseParams()).fidelity
     assert 0.90 <= fid <= 0.92
     # exact value from the Werner-parameter algebra: w_h * f_op^3 * w_m
     w = (4 * 0.96 - 1) / 3

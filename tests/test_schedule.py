@@ -9,12 +9,12 @@ from qrepsim import (
     calibrate_t_proj,
     classical_delay_us,
     expected_esta,
-    purify_n_rounds,
+    BellDiagonalState,
+    purify_ladder_weights,
     qc_zone_state,
     rate_fidelity_curve,
     t_eg,
     t_puri,
-    werner,
 )
 
 NOISY = GateNoiseParams()
@@ -26,7 +26,7 @@ def default_timings(t_esta=4.5557):
 
 def qc_p_list(n=8):
     initial = qc_zone_state(LinkParams(), NOISY)
-    return purify_n_rounds(initial, n, NOISY).success_probabilities
+    return purify_ladder_weights(initial, n, NOISY)[1]
 
 
 def test_t_puri_values():
@@ -153,7 +153,7 @@ def test_rate_fidelity_curve_rejects_large_n():
 
 def test_rate_fidelity_curve_ideal_initial_override():
     curve = rate_fidelity_curve(
-        2, CavityParams(), LinkParams(), IDEAL_OPS, initial_state=werner(0.8)
+        2, CavityParams(), LinkParams(), IDEAL_OPS, initial_state=BellDiagonalState.werner(0.8)
     )
     assert curve[0].final_fidelity == pytest.approx(0.8)
     assert curve[2].final_fidelity > 0.9
