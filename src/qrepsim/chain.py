@@ -13,6 +13,13 @@ rounds per link) and after them (N2 rounds end to end), and the total time
 is minimized over (N1, N2) subject to the end-to-end fidelity target. At
 N2 = 0 this is exactly T_EG(N1) + T_repe; a degenerate two-station chain
 performs no Bell measurement, so T_repe contributes only for M > 2.
+
+One array search serves a single chain and a whole sweep: every length
+that shares a fidelity table is searched together, one numpy pass per N2
+over [length, N1] arrays with a running best. Ties in T_QR go to the
+smaller N2, then the smaller N1. A target that no cell meets gives an
+infeasible plan; a feasible best plan whose T_QR overflows to infinity is
+an error (the CLI exits 2), never a feasible row with zero rate.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
-from .schedule import OperationTimings, classical_delay_us, t_eg, t_puri
+from .schedule import OperationTimings, classical_delay_us, t_puri
 from .states import BELL_BITS, BellDiagonalState, check_finite
 # purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
 from .purify import purify_n_rounds  # noqa: F401
@@ -143,6 +150,94 @@ def chain_fidelity_table(
     )
 
 
+def _chain_timings(
+    chain: ChainParams,
+    cavity: CavityParams,
+    link_template: LinkParams,
+    timings_template: OperationTimings,
+) -> tuple[LinkParams, OperationTimings]:
+    """The chain's elementary link, and the timings at its length and expected T_esta."""
+    link = link_template.with_length(chain.link_length_km, chain.fc_enabled)
+    _, t_esta_us = expected_esta(cavity, link)
+    return link, replace(timings_template, t_esta_us=t_esta_us, l_km=link.length_km)
+
+
+def _search(
+    rows: list[tuple[ChainParams, float, float]],
+    timings_template: OperationTimings,
+    table: ChainFidelityTable,
+    n_max: int,
+) -> list[ChainPlan]:
+    """Best (N1, N2) plan of each row, one numpy pass per N2 over [row, N1].
+
+    A row is a chain with its generation stage time and link delay l/c, both
+    in us; the rows share the table (one swap-level count), the fidelity
+    target, and every timing but T_esta and l. A running best is replaced
+    only by a strictly smaller T_QR, so ties go to the smaller N2, then the
+    smaller N1. Each T_QR is summed round by round in the order of the
+    scalar formula, so it equals that formula bit for bit.
+    """
+    if not rows:
+        return []
+    chains, stage, lc_link = zip(*rows)
+    if n_max > len(table.pre_swap_p):
+        raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
+    n = n_max + 1
+    end_f = np.array(table.end_fidelities)[:n, :n]
+    feasible = end_f >= chains[0].fidelity_target - 1e-12
+    t_proj = timings_template.t_proj_us
+    pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
+    end_steps = np.array([[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]])
+
+    def plan(chain, n1, n2, t_qr_us, rate_hz, feasible):
+        return ChainPlan(
+            m_stations=chain.m_stations,
+            total_length_km=chain.total_length_km,
+            fc_enabled=chain.fc_enabled,
+            fidelity_target=chain.fidelity_target,
+            n1=n1,
+            n2=n2,
+            f_m=table.end_fidelities[n1][n2],
+            t_qr_us=t_qr_us,
+            rate_hz=rate_hz,
+            feasible=feasible,
+        )
+
+    if not feasible.any():
+        n1, n2 = divmod(int(end_f.argmax()), n)  # the first best fidelity, N1-major
+        return [plan(chain, n1, n2, 0.0, 0.0, False) for chain in chains]
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
+    stage, lc_link = column(stage), column(lc_link)
+    lc_total = column([classical_delay_us(c.total_length_km) for c in chains])
+    repe = column([t_repe(c, t_proj) if c.n_swap_levels > 0 else 0.0 for c in chains])
+    best_t = np.full(len(chains), np.inf)
+    best_n1 = np.zeros(len(chains), dtype=int)
+    best_n2 = np.zeros(len(chains), dtype=int)
+    with np.errstate(over="ignore"):
+        pre_swap = np.hstack([np.zeros_like(stage), np.cumsum(pre_steps + lc_link, axis=1)])
+        pair_time = np.maximum(2 ** np.arange(n) * stage, pre_swap) + repe  # T_EG(N1) + T_repe
+        purification = np.zeros_like(pair_time)
+        for n2 in range(n):
+            if n2:
+                purification = purification + (end_steps[:, n2 - 1] + lc_total)
+            t_qr = np.where(
+                feasible[:, n2], np.maximum(2**n2 * pair_time, purification), np.inf
+            )
+            n1, t_row = t_qr.argmin(axis=1), t_qr.min(axis=1)
+            better = t_row < best_t
+            best_t[better], best_n1[better], best_n2[better] = t_row[better], n1[better], n2
+    if not np.isfinite(best_t).all():
+        raise ValueError("t_qr_us must be finite, got inf")
+    parallel_links = timings_template.parallel_links
+    return [
+        plan(chain, n1, n2, t_qr, parallel_links * 1e6 / t_qr, True)
+        for chain, n1, n2, t_qr in zip(chains, best_n1.tolist(), best_n2.tolist(), best_t.tolist())
+    ]
+
+
 def optimize_plan(
     chain: ChainParams,
     cavity: CavityParams,
@@ -155,66 +250,22 @@ def optimize_plan(
 ) -> ChainPlan:
     """Exhaustive (N1, N2) search minimizing T_QR at the fidelity target.
 
-    Infeasible targets return feasible=False with the best achievable
-    fidelity and zero rate. Ties in T_QR prefer fewer post-swap rounds.
+    This is the array search of ``rate_vs_distance`` on one length. N1 and
+    N2 range over 0..n_max; ``table`` may hold more rounds than that, and is
+    built from the chain's zone state when omitted. Ties in T_QR prefer
+    fewer post-swap rounds, then fewer pre-swap rounds. An infeasible target
+    returns feasible=False, zero T_QR and rate, and the first best fidelity
+    in N1-major order. A feasible best plan whose T_QR overflows to infinity
+    raises ValueError.
     """
-    link = link_template.with_length(chain.link_length_km, chain.fc_enabled)
-    _, t_esta_us = expected_esta(cavity, link)
-    if timings_template is None:
-        timings = OperationTimings(t_esta_us=t_esta_us, l_km=link.length_km)
-    else:
-        timings = replace(timings_template, t_esta_us=t_esta_us, l_km=link.length_km)
+    template = timings_template or OperationTimings(t_esta_us=1.0)
+    link, timings = _chain_timings(chain, cavity, link_template, template)
     if table is None:
         table = chain_fidelity_table(
             qc_zone_state(link, noise, f_move), chain.n_swap_levels, noise, n_max
         )
-    repe = t_repe(chain, timings.t_proj_us) if chain.n_swap_levels > 0 else 0.0
-    lc_total = classical_delay_us(chain.total_length_km)
-    best_key = None
-    best = None
-    best_fid = (-1.0, 0, 0)
-    for n1 in range(n_max + 1):
-        pair_time = t_eg(n1, timings, table.pre_swap_p).t_eg_us + repe
-        for n2 in range(n_max + 1):
-            f_m = table.end_fidelities[n1][n2]
-            if f_m > best_fid[0]:
-                best_fid = (f_m, n1, n2)
-            if f_m < chain.fidelity_target - 1e-12:
-                continue
-            purification = sum(
-                t_puri(timings.t_proj_us, p) + lc_total for p in table.end_p[n1][:n2]
-            )
-            t_qr = max(2**n2 * pair_time, purification)
-            key = (t_qr, n2, n1)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (n1, n2, f_m, t_qr)
-    if best is None:
-        return ChainPlan(
-            m_stations=chain.m_stations,
-            total_length_km=chain.total_length_km,
-            fc_enabled=chain.fc_enabled,
-            fidelity_target=chain.fidelity_target,
-            n1=best_fid[1],
-            n2=best_fid[2],
-            f_m=best_fid[0],
-            t_qr_us=0.0,
-            rate_hz=0.0,
-            feasible=False,
-        )
-    n1, n2, f_m, t_qr = best
-    return ChainPlan(
-        m_stations=chain.m_stations,
-        total_length_km=chain.total_length_km,
-        fc_enabled=chain.fc_enabled,
-        fidelity_target=chain.fidelity_target,
-        n1=n1,
-        n2=n2,
-        f_m=f_m,
-        t_qr_us=t_qr,
-        rate_hz=timings.parallel_links * 1e6 / t_qr,
-        feasible=True,
-    )
+    row = (chain, timings.stage_time_us(), classical_delay_us(timings.l_km))
+    return _search([row], template, table, n_max)[0]
 
 
 def rate_vs_distance(
@@ -232,11 +283,15 @@ def rate_vs_distance(
     """Optimized plans over a (distance, station count, FC) grid.
 
     Rows come out ordered by (L, M, fc). The fidelity recurrences do not
-    depend on the link length, so they are computed once per swap-level count.
+    depend on the link length, so they are computed once per swap-level
+    count, and the plan search runs once per swap-level count too, over
+    every row that shares the table. Every row's chain and timings are
+    built, and so validated, in row order before any search.
     """
     initial = qc_zone_state(link_template, noise, f_move)
     levels = {ChainParams(m_stations, 1.0).n_swap_levels for m_stations in stations}
     tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
+    template = timings_template or OperationTimings(t_esta_us=1.0)
     rows = []
     for length in sorted(distances_km):
         for m_stations in sorted(stations):
@@ -244,16 +299,11 @@ def rate_vs_distance(
                 chain = ChainParams(
                     m_stations, length, fidelity_target=fidelity_target, fc_enabled=fc
                 )
-                rows.append(
-                    optimize_plan(
-                        chain,
-                        cavity,
-                        link_template,
-                        noise,
-                        timings_template,
-                        f_move=f_move,
-                        n_max=n_max,
-                        table=tables[chain.n_swap_levels],
-                    )
-                )
-    return rows
+                _, timings = _chain_timings(chain, cavity, link_template, template)
+                rows.append((chain, timings.stage_time_us(), classical_delay_us(timings.l_km)))
+    plans = [None] * len(rows)
+    for k, table in tables.items():
+        group = [i for i, row in enumerate(rows) if row[0].n_swap_levels == k]
+        for i, plan in zip(group, _search([rows[i] for i in group], template, table, n_max)):
+            plans[i] = plan
+    return plans

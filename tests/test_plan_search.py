@@ -1,0 +1,278 @@
+"""The array (N1, N2) plan search equals the scalar search, field by field.
+
+``scalar_search`` holds the cell-by-cell loop that the package replaced.
+On generated chains, options and targets, ``optimize_plan`` and
+``rate_vs_distance`` must return the same ``ChainPlan`` values as that loop,
+compared with ``==`` and by type, or raise the same error. The one intended
+difference: where the loop reports a feasible plan whose T_QR overflowed to
+infinity, the package raises ``ValueError``. Generation is derandomized so
+the suite is repeatable.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import scalar_search
+from qrepsim import (
+    CavityParams,
+    ChainParams,
+    GateNoiseParams,
+    LinkParams,
+    OperationTimings,
+    optimize_plan,
+    qc_zone_state,
+    rate_vs_distance,
+)
+from qrepsim.chain import ChainFidelityTable, chain_fidelity_table
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+OVERFLOW = (ValueError, "t_qr_us must be finite, got inf")
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEFAULTS = (LinkParams(), GateNoiseParams(), OperationTimings(t_esta_us=1.0), 0.96)
+
+stations = st.sampled_from([2, 3, 5, 9, 17, 33])
+# up to 1012 km: past the T_QR overflow of M = 2 without FC, short of the link budget's own
+lengths = st.one_of(
+    st.sampled_from([0.1, 25.0, 1000.0, 1005.0, 1010.0, 1012.0]), st.floats(0.01, 1012.0)
+)
+fc_modes = st.sampled_from([(False,), (True,), (False, True), (True, False)])
+# a plain target, or ("cell", i): the i-th smallest end fidelity of the table, met exactly
+targets = st.one_of(
+    st.sampled_from([0.0, 0.9, 0.99, 0.995, 0.999]),
+    st.floats(0.0, 0.9999),
+    st.integers(0, 80).map(lambda i: ("cell", i)),
+)
+
+
+@st.composite
+def designs(draw):
+    link = LinkParams(
+        herald_mode=draw(st.sampled_from(["serial", "pipelined"])),
+        esta_convention=draw(st.sampled_from(["text", "table"])),
+        cz_accounting=draw(st.sampled_from(["paper", "per_cavity"])),
+        technical_fidelity=draw(st.floats(0.9, 1.0)),
+    )
+    noise = GateNoiseParams(
+        f_op=draw(st.one_of(st.just(1.0), st.floats(0.97, 1.0))),
+        eta_meas=draw(st.one_of(st.just(1.0), st.floats(0.95, 1.0))),
+    )
+    timings = OperationTimings(
+        t_esta_us=1.0,
+        t_proj_us=draw(st.floats(50.0, 400.0)),
+        move_accounting=draw(st.sampled_from(["averaged", "explicit"])),
+        parallel_links=draw(st.integers(1, 4)),
+    )
+    return link, noise, timings, draw(st.floats(0.9, 1.0))
+
+
+def _target(spec, link, noise, f_move, m_stations, n_max):
+    if not isinstance(spec, tuple):
+        return spec
+    table = chain_fidelity_table(
+        qc_zone_state(link, noise, f_move), ChainParams(m_stations, 1.0).n_swap_levels, noise, n_max
+    )
+    cells = sorted(f for row in table.end_fidelities[: n_max + 1] for f in row[: n_max + 1])
+    return cells[spec[1] % len(cells)]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _fields(plan):
+    return [(name, type(value), value) for name, value in vars(plan).items()]
+
+
+def _expected(reference):
+    """The scalar outcome, with an overflowed feasible T_QR turned into the package's error."""
+    if isinstance(reference, tuple):
+        return reference
+    plans = reference if isinstance(reference, list) else [reference]
+    if any(p.feasible and not np.isfinite(p.t_qr_us) for p in plans):
+        return OVERFLOW
+    return [_fields(p) for p in plans] if isinstance(reference, list) else _fields(reference)
+
+
+def _observed(outcome):
+    if isinstance(outcome, tuple):
+        return outcome
+    return [_fields(p) for p in outcome] if isinstance(outcome, list) else _fields(outcome)
+
+
+@PROPERTY
+@given(
+    design=designs(),
+    distances=st.lists(lengths, max_size=4),
+    station_list=st.lists(stations, min_size=1, max_size=3),
+    fc=fc_modes,
+    target=targets,
+    n_max=st.integers(0, 8),
+)
+# at the defaults T_QR overflows at 1010 km (M = 2, no FC), and only there
+@example(DEFAULTS, [1010.0, 1000.0, 1010.0], [2, 5], (True, False), 0.99, 8)
+@example(DEFAULTS, [1000.0, 1000.0], [2, 2], (False,), 0.99, 8)
+def test_rate_vs_distance_equals_scalar_search(design, distances, station_list, fc, target, n_max):
+    link, noise, timings, f_move = design
+    target = _target(target, link, noise, f_move, station_list[0], n_max)
+    args = (distances, station_list, fc, CavityParams(), link, noise, timings)
+    kwargs = dict(fidelity_target=target, f_move=f_move, n_max=n_max)
+    reference = _outcome(scalar_search.rate_vs_distance, *args, **kwargs)
+    assert _observed(_outcome(rate_vs_distance, *args, **kwargs)) == _expected(reference)
+
+
+@PROPERTY
+@given(
+    design=designs(),
+    length=lengths,
+    m_stations=stations,
+    fc=st.booleans(),
+    target=targets,
+    n_max=st.integers(0, 8),
+    shared_table=st.booleans(),
+)
+@example(DEFAULTS, 1010.0, 2, False, 0.99, 8, False)
+@example(DEFAULTS, 1010.0, 2, False, 0.99, 5, True)
+def test_optimize_plan_equals_scalar_search(
+    design, length, m_stations, fc, target, n_max, shared_table
+):
+    link, noise, timings, f_move = design
+    target = _target(target, link, noise, f_move, m_stations, n_max)
+    chain = _outcome(ChainParams, m_stations, length, fidelity_target=target, fc_enabled=fc)
+    if isinstance(chain, tuple):
+        return  # a target of 1.0 is rejected before any search
+    # an 8-round table searched only up to n_max, or a table built for n_max
+    table = None
+    if shared_table:
+        zone = qc_zone_state(link.with_length(chain.link_length_km, fc), noise, f_move)
+        table = chain_fidelity_table(zone, chain.n_swap_levels, noise, 8)
+    args = (chain, CavityParams(), link, noise, timings)
+    kwargs = dict(f_move=f_move, n_max=n_max, table=table)
+    reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
+    assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
+
+
+@st.composite
+def built_tables(draw):
+    """Hand-made tables: few distinct fidelities (so cells tie) and any P_puri in (0, 1]."""
+    rounds = draw(st.integers(1, 8))
+    fidelity = st.sampled_from([0.5, 0.9, 0.99, 0.999])
+    # small P_puri make the post-swap purification the larger side of T_QR
+    p_puri = st.one_of(st.just(1.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1e-2))
+    return ChainFidelityTable(
+        pre_swap_fidelities=(0.9,) * (rounds + 1),
+        pre_swap_p=tuple(draw(p_puri) for _ in range(rounds)),
+        end_fidelities=tuple(
+            tuple(draw(fidelity) for _ in range(rounds + 1)) for _ in range(rounds + 1)
+        ),
+        end_p=tuple(tuple(draw(p_puri) for _ in range(rounds)) for _ in range(rounds + 1)),
+    )
+
+
+@PROPERTY
+@given(
+    table=built_tables(),
+    length=st.floats(0.01, 1000.0),
+    m_stations=stations,
+    fc=st.booleans(),
+    t_proj_us=st.one_of(st.sampled_from([1e-3, 1.0, 200.0]), st.floats(1e-3, 1e4)),
+    # a fidelity in the table, met exactly, within the 1e-12 slack, or just missed
+    target=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+    offset=st.sampled_from([0.0, 5e-13, 2e-12]),
+    n_max=st.integers(0, 8),
+)
+# only N2 = 3 is feasible and its purification term dominates: pins the order of its sum
+@example(
+    ChainFidelityTable(
+        (0.9,) * 4,
+        (1.0,) * 3,
+        ((0.5, 0.5, 0.5, 0.99),) * 4,
+        ((0.0055, 0.005, 0.0069),) * 4,
+    ),
+    788.9, 33, True, 200.0, 0.99, 0.0, 3,
+)
+def test_search_equals_scalar_search_on_built_tables(
+    table, length, m_stations, fc, t_proj_us, target, offset, n_max
+):
+    chain = ChainParams(m_stations, length, fidelity_target=target + offset, fc_enabled=fc)
+    timings = OperationTimings(t_esta_us=1.0, t_proj_us=t_proj_us)
+    args = (chain, CavityParams(), LinkParams(), GateNoiseParams(), timings)
+    kwargs = dict(n_max=min(n_max, len(table.pre_swap_p)), table=table)
+    reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
+    assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
+
+
+@pytest.mark.parametrize(
+    "t_proj_us, p_post, cells, best",
+    [
+        # generation limited: T_QR(0, 1) = T_QR(1, 0) = 2 T_stage; the smaller N2 wins
+        (1e-3, 1.0, [(0, 1), (1, 0)], (1, 0)),
+        # one slow post-swap round: T_QR(1, 1) = T_QR(0, 1); at equal N2 the smaller N1 wins
+        (200.0, 1e-3, [(1, 1), (0, 1)], (0, 1)),
+    ],
+)
+def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
+    args = (ChainParams(2, 0.1, fidelity_target=0.99), CavityParams(), LinkParams())
+    args += (GateNoiseParams(), OperationTimings(t_esta_us=1.0, t_proj_us=t_proj_us))
+
+    def search(feasible_cells):
+        end_f = tuple(
+            tuple(0.99 if (n1, n2) in feasible_cells else 0.5 for n2 in range(2))
+            for n1 in range(2)
+        )
+        table = ChainFidelityTable((0.9, 0.95), (1.0,), end_f, ((p_post,), (p_post,)))
+        return (
+            optimize_plan(*args, n_max=1, table=table),
+            scalar_search.optimize_plan(*args, n_max=1, table=table),
+        )
+
+    alone = [search({cell})[0] for cell in cells]
+    assert [(p.n1, p.n2) for p in alone] == cells
+    assert alone[0].t_qr_us == alone[1].t_qr_us
+    plan, reference = search(set(cells))
+    assert (plan.n1, plan.n2) == best
+    assert plan == reference
+
+
+def _cli(*argv):
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    return subprocess.run(
+        [sys.executable, "-m", "qrepsim", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_overflowing_t_qr_is_an_error_not_a_feasible_row():
+    result = _cli("chain", "--stations", "2", "--distance-km", "1010")
+    assert result.returncode == 2
+    assert result.stderr == "error: t_qr_us must be finite, got inf\n"
+    assert result.stdout == ""
+
+
+def test_largest_finite_t_qr_row_is_unchanged():
+    result = _cli("chain", "--stations", "2", "--distance-km", "1000")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    row = result.stdout.splitlines()[-1]
+    assert row == "1000,2,0,0.99,4,0,0.992256306,3.48124387e+305,2.87253648e-300,true"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--stations", "2", "--distances", "900:1100:5,lin"),
+        ("chain", "--stations", "2", "--distance-km", "1015"),
+    ],
+)
+def test_infinite_t_esta_exits_2_before_any_search(argv):
+    result = _cli(*argv)
+    assert result.returncode == 2
+    assert result.stderr.endswith("error: t_esta_us must be finite, got inf\n")
+    assert result.stdout == ""
