@@ -33,7 +33,7 @@ from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zon
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
 from .schedule import OperationTimings, classical_delay_us, t_puri
-from .states import BELL_BITS, BellDiagonalState, check_finite
+from .states import BELL_BITS, BellDiagonalState, check_finite, check_positive
 # purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
 from .purify import purify_n_rounds  # noqa: F401
 from .states import expand_operator  # noqa: F401
@@ -112,9 +112,11 @@ def bell_measurement(
     return BellDiagonalState(params.f_op * mixed + (1.0 - params.f_op) / 4.0)
 
 
-def t_repe(chain: ChainParams, t_proj_us: float) -> float:
-    """Swap-stage time: classical relay over L/2 plus one readout."""
-    return chain.total_length_km * 1e3 / (2 * C_VAC_M_PER_S) * 1e6 + t_proj_us
+def t_repe(chain: ChainParams, t_proj_us: float, total_length_km: float | None = None) -> float:
+    """Swap-stage time: classical relay over L/2 (default the chain's) plus one readout."""
+    if total_length_km is None:
+        total_length_km = chain.total_length_km
+    return total_length_km * 1e3 / (2 * C_VAC_M_PER_S) * 1e6 + t_proj_us
 
 
 @dataclass(frozen=True)
@@ -150,51 +152,82 @@ def chain_fidelity_table(
     )
 
 
-def _chain_timings(
-    chain: ChainParams,
+def _rows(
+    lengths,
+    chains: list[ChainParams],
+    fc_modes,
     cavity: CavityParams,
     link_template: LinkParams,
     timings_template: OperationTimings,
-) -> tuple[LinkParams, OperationTimings]:
-    """The chain's elementary link, and the timings at its length and expected T_esta."""
-    link = link_template.with_length(chain.link_length_km, chain.fc_enabled)
-    _, t_esta_us = expected_esta(cavity, link)
-    return link, replace(timings_template, t_esta_us=t_esta_us, l_km=link.length_km)
+) -> dict[int, list[tuple]]:
+    """Plan inputs of every (L, M, fc) row, grouped by swap-level count.
+
+    ``lengths``, ``chains`` (one validated chain per station count, its
+    length unused) and ``fc_modes`` come sorted. A row is (M, L, fc,
+    generation stage time, link l/c, total L/c, T_repe), times in us,
+    computed from plain floats with the operands and order of operations
+    of the per-row ``LinkParams`` and ``OperationTimings`` this replaces.
+    Each distance, link length and T_esta gets those dataclasses' checks,
+    in row order, so the first failing row raises their error.
+    """
+    links = [(fc, replace(link_template, fc_enabled=fc)) for fc in fc_modes]
+    groups = {chain.n_swap_levels: [] for chain in chains}
+    if not (chains and links):
+        return groups  # no rows, so nothing to check
+    stations = [(chain, chain.n_swap_levels > 0, groups[chain.n_swap_levels]) for chain in chains]
+    t_proj = timings_template.t_proj_us
+    # past about 1012 km a numpy length overflows T_esta to inf, which the check reports
+    with np.errstate(over="ignore", divide="ignore"):
+        for length in lengths:
+            check_positive("total_length_km", length)
+            lc_total = classical_delay_us(length)
+            for chain, swaps, rows in stations:
+                link_km = length / (chain.m_stations - 1)
+                check_positive("length_km", link_km)
+                lc_link = classical_delay_us(link_km)
+                repe = t_repe(chain, t_proj, length) if swaps else 0.0
+                for fc, link in links:
+                    t_esta = expected_esta(cavity, link, link_km)[1]
+                    check_positive("t_esta_us", t_esta)
+                    stage = timings_template.stage_time_us(t_esta)
+                    rows.append((chain.m_stations, length, fc, stage, lc_link, lc_total, repe))
+    return groups
 
 
 def _search(
-    rows: list[tuple[ChainParams, float, float]],
+    rows: list[tuple],
+    fidelity_target: float,
     timings_template: OperationTimings,
     table: ChainFidelityTable,
     n_max: int,
 ) -> list[ChainPlan]:
     """Best (N1, N2) plan of each row, one numpy pass per N2 over [row, N1].
 
-    A row is a chain with its generation stage time and link delay l/c, both
-    in us; the rows share the table (one swap-level count), the fidelity
-    target, and every timing but T_esta and l. A running best is replaced
-    only by a strictly smaller T_QR, so ties go to the smaller N2, then the
-    smaller N1. Each T_QR is summed round by round in the order of the
-    scalar formula, so it equals that formula bit for bit.
+    The rows are those of ``_rows``; they share the table (one swap-level
+    count), the fidelity target, and every timing but T_esta and l. A
+    running best is replaced only by a strictly smaller T_QR, so ties go to
+    the smaller N2, then the smaller N1. Each T_QR is summed round by round
+    in the order of the scalar formula, so it equals that formula bit for
+    bit.
     """
     if not rows:
         return []
-    chains, stage, lc_link = zip(*rows)
+    m_stations, lengths, fc_modes, stage, lc_link, lc_total, repe = zip(*rows)
     if n_max > len(table.pre_swap_p):
         raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
     n = n_max + 1
     end_f = np.array(table.end_fidelities)[:n, :n]
-    feasible = end_f >= chains[0].fidelity_target - 1e-12
+    feasible = end_f >= fidelity_target - 1e-12
     t_proj = timings_template.t_proj_us
     pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
     end_steps = np.array([[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]])
 
-    def plan(chain, n1, n2, t_qr_us, rate_hz, feasible):
+    def plan(i, n1, n2, t_qr_us, rate_hz, feasible):
         return ChainPlan(
-            m_stations=chain.m_stations,
-            total_length_km=chain.total_length_km,
-            fc_enabled=chain.fc_enabled,
-            fidelity_target=chain.fidelity_target,
+            m_stations=m_stations[i],
+            total_length_km=lengths[i],
+            fc_enabled=fc_modes[i],
+            fidelity_target=fidelity_target,
             n1=n1,
             n2=n2,
             f_m=table.end_fidelities[n1][n2],
@@ -205,17 +238,15 @@ def _search(
 
     if not feasible.any():
         n1, n2 = divmod(int(end_f.argmax()), n)  # the first best fidelity, N1-major
-        return [plan(chain, n1, n2, 0.0, 0.0, False) for chain in chains]
+        return [plan(i, n1, n2, 0.0, 0.0, False) for i in range(len(rows))]
 
     def column(values):
         return np.array(values, dtype=float)[:, None]
 
-    stage, lc_link = column(stage), column(lc_link)
-    lc_total = column([classical_delay_us(c.total_length_km) for c in chains])
-    repe = column([t_repe(c, t_proj) if c.n_swap_levels > 0 else 0.0 for c in chains])
-    best_t = np.full(len(chains), np.inf)
-    best_n1 = np.zeros(len(chains), dtype=int)
-    best_n2 = np.zeros(len(chains), dtype=int)
+    stage, lc_link, lc_total, repe = column(stage), column(lc_link), column(lc_total), column(repe)
+    best_t = np.full(len(rows), np.inf)
+    best_n1 = np.zeros(len(rows), dtype=int)
+    best_n2 = np.zeros(len(rows), dtype=int)
     with np.errstate(over="ignore"):
         pre_swap = np.hstack([np.zeros_like(stage), np.cumsum(pre_steps + lc_link, axis=1)])
         pair_time = np.maximum(2 ** np.arange(n) * stage, pre_swap) + repe  # T_EG(N1) + T_repe
@@ -233,8 +264,10 @@ def _search(
         raise ValueError("t_qr_us must be finite, got inf")
     parallel_links = timings_template.parallel_links
     return [
-        plan(chain, n1, n2, t_qr, parallel_links * 1e6 / t_qr, True)
-        for chain, n1, n2, t_qr in zip(chains, best_n1.tolist(), best_n2.tolist(), best_t.tolist())
+        plan(i, n1, n2, t_qr, parallel_links * 1e6 / t_qr, True)
+        for i, (n1, n2, t_qr) in enumerate(
+            zip(best_n1.tolist(), best_n2.tolist(), best_t.tolist())
+        )
     ]
 
 
@@ -250,22 +283,23 @@ def optimize_plan(
 ) -> ChainPlan:
     """Exhaustive (N1, N2) search minimizing T_QR at the fidelity target.
 
-    This is the array search of ``rate_vs_distance`` on one length. N1 and
-    N2 range over 0..n_max; ``table`` may hold more rounds than that, and is
-    built from the chain's zone state when omitted. Ties in T_QR prefer
-    fewer post-swap rounds, then fewer pre-swap rounds. An infeasible target
-    returns feasible=False, zero T_QR and rate, and the first best fidelity
-    in N1-major order. A feasible best plan whose T_QR overflows to infinity
-    raises ValueError.
+    This is the row building and array search of ``rate_vs_distance`` on one
+    row. N1 and N2 range over 0..n_max; ``table`` may hold more rounds than
+    that, and is built from the chain's zone state when omitted. Ties in
+    T_QR prefer fewer post-swap rounds, then fewer pre-swap rounds. An
+    infeasible target returns feasible=False, zero T_QR and rate, and the
+    first best fidelity in N1-major order. A feasible best plan whose T_QR
+    overflows to infinity raises ValueError.
     """
     template = timings_template or OperationTimings(t_esta_us=1.0)
-    link, timings = _chain_timings(chain, cavity, link_template, template)
+    rows = _rows(
+        [chain.total_length_km], [chain], [chain.fc_enabled], cavity, link_template, template
+    )[chain.n_swap_levels]
     if table is None:
         table = chain_fidelity_table(
-            qc_zone_state(link, noise, f_move), chain.n_swap_levels, noise, n_max
+            qc_zone_state(link_template, noise, f_move), chain.n_swap_levels, noise, n_max
         )
-    row = (chain, timings.stage_time_us(), classical_delay_us(timings.l_km))
-    return _search([row], template, table, n_max)[0]
+    return _search(rows, chain.fidelity_target, template, table, n_max)[0]
 
 
 def rate_vs_distance(
@@ -282,28 +316,28 @@ def rate_vs_distance(
 ) -> list[ChainPlan]:
     """Optimized plans over a (distance, station count, FC) grid.
 
-    Rows come out ordered by (L, M, fc). The fidelity recurrences do not
-    depend on the link length, so they are computed once per swap-level
-    count, and the plan search runs once per swap-level count too, over
-    every row that shares the table. Every row's chain and timings are
-    built, and so validated, in row order before any search.
+    Rows come out ordered by (L, M, fc); repeated inputs give repeated rows.
+    The fidelity recurrences do not depend on the link length, so they are
+    computed once per swap-level count, and the plan search runs once per
+    swap-level count too, over every row that shares the table. Each station
+    count is validated once, before the tables, and every row in row order
+    before any search.
     """
     initial = qc_zone_state(link_template, noise, f_move)
-    levels = {ChainParams(m_stations, 1.0).n_swap_levels for m_stations in stations}
+    chains = {m_stations: ChainParams(m_stations, 1.0) for m_stations in stations}
+    levels = {chain.n_swap_levels for chain in chains.values()}
     tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
     template = timings_template or OperationTimings(t_esta_us=1.0)
-    rows = []
-    for length in sorted(distances_km):
-        for m_stations in sorted(stations):
-            for fc in sorted(fc_modes):
-                chain = ChainParams(
-                    m_stations, length, fidelity_target=fidelity_target, fc_enabled=fc
-                )
-                _, timings = _chain_timings(chain, cavity, link_template, template)
-                rows.append((chain, timings.stage_time_us(), classical_delay_us(timings.l_km)))
-    plans = [None] * len(rows)
-    for k, table in tables.items():
-        group = [i for i, row in enumerate(rows) if row[0].n_swap_levels == k]
-        for i, plan in zip(group, _search([rows[i] for i in group], template, table, n_max)):
-            plans[i] = plan
-    return plans
+    lengths, stations, fc_modes = sorted(distances_km), sorted(stations), sorted(fc_modes)
+    if lengths and stations and fc_modes:
+        # the first row's chain checks its length and the target, in ChainParams' order
+        ChainParams(stations[0], lengths[0], fidelity_target=fidelity_target)
+    groups = _rows(
+        lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, template
+    )
+    plans = {
+        k: iter(_search(groups[k], fidelity_target, template, table, n_max))
+        for k, table in tables.items()
+    }
+    levels_per_length = [chains[m].n_swap_levels for m in stations for _ in fc_modes]
+    return [next(plans[k]) for _ in lengths for k in levels_per_length]

@@ -38,6 +38,10 @@ def _format_value(value) -> str:
     return str(value)
 
 
+# _format_value's result for each exact built-in type, looked up once per CSV cell
+_CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format, str: str}
+
+
 def _config_echo(config: Config) -> list[str]:
     from dataclasses import fields
 
@@ -51,8 +55,10 @@ def emit(out, fmt: str, columns, rows, config: Config) -> None:
     if fmt == "csv":
         lines = _config_echo(config)
         lines.append(",".join(columns))
+        cell = _CELL_FORMATS.get
         for row in rows:
-            lines.append(",".join(_format_value(row[c]) for c in columns))
+            values = [row[c] for c in columns]
+            lines.append(",".join([cell(type(v), _format_value)(v) for v in values]))
         text = "\n".join(lines) + "\n"
     else:
         from dataclasses import fields
@@ -195,10 +201,11 @@ def _parse_distances(text: str):
 
 
 def cmd_sweep(config: Config, args) -> int:
-    stations = [int(s) for s in args.stations.split(",")]
+    # a repeated station count or distance would repeat its rows
+    stations = list(dict.fromkeys(int(s) for s in args.stations.split(",")))
     fc_modes = {"both": (False, True), "on": (True,), "off": (False,)}[args.fc]
     plans = rate_vs_distance(
-        _parse_distances(args.distances),
+        list(dict.fromkeys(_parse_distances(args.distances))),
         stations,
         fc_modes,
         cfgmod.cavity_params(config),

@@ -138,9 +138,11 @@ def reflection_amplitude(p: CavityParams, atom_coupled: bool) -> complex:
     return complex(1.0 - 2.0 * p.kappa_ex_mhz / denom, 0.0)
 
 
-def link_transmission(lp: LinkParams) -> float:
-    """End-to-end photon transmission: fiber, circulators, detector, FC."""
-    db = lp.active_attenuation_db_per_km * lp.length_km
+def link_transmission(lp: LinkParams, length_km: float | None = None) -> float:
+    """Transmission over length_km (default lp.length_km): fiber, circulators, detector, FC."""
+    if length_km is None:
+        length_km = lp.length_km
+    db = lp.active_attenuation_db_per_km * length_km
     db += lp.n_circulators * lp.circulator_loss_db
     eta = 10.0 ** (-db / 10.0) * lp.detector_efficiency
     if lp.fc_enabled:
@@ -159,25 +161,30 @@ def cz_success(p: CavityParams, lp: LinkParams) -> float:
     return r2 if lp.cz_accounting == "paper" else r2**2
 
 
-def herald_success(p: CavityParams, lp: LinkParams) -> float:
-    return cz_success(p, lp) * link_transmission(lp)
+def herald_success(p: CavityParams, lp: LinkParams, length_km: float | None = None) -> float:
+    return cz_success(p, lp) * link_transmission(lp, length_km)
 
 
-def expected_esta(p: CavityParams, lp: LinkParams) -> tuple[float, float]:
+def expected_esta(
+    p: CavityParams, lp: LinkParams, length_km: float | None = None
+) -> tuple[float, float]:
     """(single-attempt duration, expected e-bit preparation time) in us.
 
     The attempt is one probe pulse (pulse_factor / kappa) plus photon flight
     (l/v) plus classical heralding (l/c); the 'table' convention drops the
     l/c term. Serial heralding retries the whole attempt, pipelined
-    heralding retries only the pulse.
+    heralding retries only the pulse. ``length_km`` defaults to
+    ``lp.length_km``.
     """
+    if length_km is None:
+        length_km = lp.length_km
     pulse_us = lp.pulse_factor / p.kappa_rad_per_s * 1e6
-    l_m = lp.length_km * 1e3
+    l_m = length_km * 1e3
     flight_us = l_m / (C_VAC_M_PER_S / lp.fiber_index) * 1e6
     if lp.esta_convention == "text":
         flight_us += l_m / C_VAC_M_PER_S * 1e6
     t_attempt = pulse_us + flight_us
-    p_succ = herald_success(p, lp)
+    p_succ = herald_success(p, lp, length_km)
     if lp.herald_mode == "serial":
         t_esta = t_attempt / p_succ
     else:

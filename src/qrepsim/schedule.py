@@ -58,9 +58,11 @@ class OperationTimings:
         if self.parallel_links < 1:
             raise ValueError("parallel_links must be at least 1")
 
-    def stage_time_us(self) -> float:
-        """Per-pair time of the pipelined generation stage."""
-        stage = max(self.t_esta_us + self.t_swap_us, self.t_swap_us + self.t_move_us)
+    def stage_time_us(self, t_esta_us: float | None = None) -> float:
+        """Per-pair time of the pipelined generation stage (T_esta default self.t_esta_us)."""
+        if t_esta_us is None:
+            t_esta_us = self.t_esta_us
+        stage = max(t_esta_us + self.t_swap_us, self.t_swap_us + self.t_move_us)
         if self.move_accounting == "explicit":
             stage /= self.p_move
         return stage

@@ -56,6 +56,14 @@ def check_finite(params) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def check_positive(name: str, value: float) -> None:
+    """Reject a NaN, infinite or nonpositive field value with the dataclasses' messages."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value <= 0:
+        raise ValueError(f"{name} must be positive")
+
+
 def _ket(bits: str) -> np.ndarray:
     """Computational-basis ket from a bit string, e.g. '01' -> |01>."""
     dim = 2 ** len(bits)

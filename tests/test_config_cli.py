@@ -176,6 +176,23 @@ def test_cli_sweep_grid(tmp_path):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize(
+    "repeated, once",
+    [
+        (["--stations", "2,2,5"], ["--stations", "2,5"]),
+        (
+            ["--stations", "5,2,5", "--distances", "10:10:3,lin"],
+            ["--stations", "2,5", "--distances", "10:10:1,lin"],
+        ),
+    ],
+)
+def test_cli_sweep_prints_each_row_once(capsys, repeated, once):
+    assert main(["sweep", *repeated]) == 0
+    repeated_out = capsys.readouterr().out
+    assert main(["sweep", *once]) == 0
+    assert repeated_out == capsys.readouterr().out
+
+
 def test_cli_sweep_bad_distances(capsys):
     assert main(["sweep", "--distances", "bogus"]) == 2
 

@@ -9,6 +9,7 @@ infinity, the package raises ``ValueError``. Generation is derandomized so
 the suite is repeatable.
 """
 
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -127,6 +128,57 @@ def test_rate_vs_distance_equals_scalar_search(design, distances, station_list, 
     kwargs = dict(fidelity_target=target, f_move=f_move, n_max=n_max)
     reference = _outcome(scalar_search.rate_vs_distance, *args, **kwargs)
     assert _observed(_outcome(rate_vs_distance, *args, **kwargs)) == _expected(reference)
+
+
+# Values a row can fail on: a length that is zero, negative or not finite; a
+# subnormal length whose link length underflows to 0; and M = 2 without FC
+# past the link budget's limits (T_esta overflows near 1015 km; herald
+# success underflows to 0, a ZeroDivisionError for a Python float, past 1026 km).
+bad_lengths = st.sampled_from([0.0, -5.0, math.nan, math.inf, -math.inf, 5e-324, 1015.0, 1100.0])
+bad_targets = st.sampled_from([1.0, 1.5, math.nan])
+TIMES = ("t_qr_us", "rate_hz")
+
+
+@PROPERTY
+@given(
+    design=designs(),
+    distances=st.lists(st.one_of(lengths, bad_lengths), max_size=4),
+    # the CLI's distances are numpy floats, which overflow instead of raising
+    numpy_lengths=st.booleans(),
+    station_list=st.lists(st.one_of(stations, st.sampled_from([1, 4])), max_size=3),
+    fc=st.one_of(fc_modes, st.just(())),
+    target=st.one_of(targets.filter(lambda t: not isinstance(t, tuple)), bad_targets),
+    n_max=st.integers(0, 8),
+)
+@example(DEFAULTS, [1100.0], False, [2], (False,), 0.99, 8)
+@example(DEFAULTS, [1100.0], True, [2], (False,), 0.99, 8)
+@example(DEFAULTS, [1100.0, math.nan], False, [5, 2], (True, False), 0.99, 8)
+@example(DEFAULTS, [math.nan, 1100.0], False, [5, 2], (True, False), 0.99, 8)
+@example(DEFAULTS, [-5.0], False, [5], (False,), 1.5, 8)
+@example(DEFAULTS, [-5.0], False, [5], (False,), math.nan, 8)
+@example(DEFAULTS, [], False, [5], (False,), 1.5, 8)
+@example(DEFAULTS, [1.0, 5e-324], False, [3], (True,), 0.99, 8)
+@example(DEFAULTS, [math.nan], False, [4, 2], (True,), 0.99, 8)
+@example(DEFAULTS, [5.0], False, [2, 4, 1], (True,), 0.99, 8)
+@example(DEFAULTS, [1.0, math.inf], False, [5], (True,), 0.99, 8)
+def test_rate_vs_distance_raises_the_first_failing_rows_error(
+    design, distances, numpy_lengths, station_list, fc, target, n_max
+):
+    link, noise, timings, f_move = design
+    if numpy_lengths:
+        distances = [np.float64(d) for d in distances]
+    args = (distances, station_list, fc, CavityParams(), link, noise, timings)
+    kwargs = dict(fidelity_target=target, f_move=f_move, n_max=n_max)
+    # the reference's own numpy overflow warnings; the package must raise none
+    with np.errstate(over="ignore", divide="ignore"):
+        expected = _expected(_outcome(scalar_search.rate_vs_distance, *args, **kwargs))
+    if numpy_lengths and isinstance(expected, list):
+        # the loop's scalar max keeps a numpy T_QR and rate; the array search gives Python floats
+        expected = [
+            [(name, float if name in TIMES else kind, value) for name, kind, value in plan]
+            for plan in expected
+        ]
+    assert _observed(_outcome(rate_vs_distance, *args, **kwargs)) == expected
 
 
 @PROPERTY
@@ -274,5 +326,5 @@ def test_largest_finite_t_qr_row_is_unchanged():
 def test_infinite_t_esta_exits_2_before_any_search(argv):
     result = _cli(*argv)
     assert result.returncode == 2
-    assert result.stderr.endswith("error: t_esta_us must be finite, got inf\n")
+    assert result.stderr == "error: t_esta_us must be finite, got inf\n"
     assert result.stdout == ""
