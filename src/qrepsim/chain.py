@@ -20,6 +20,14 @@ over [length, N1] arrays with a running best. Ties in T_QR go to the
 smaller N2, then the smaller N1. A target that no cell meets gives an
 infeasible plan; a feasible best plan whose T_QR overflows to infinity is
 an error (the CLI exits 2), never a feasible row with zero rate.
+
+The searched rows are plain floats. The templates are validated once, each
+station count once and each distance once; each row's T_esta, stage time,
+l/c, L/c and T_repe come from the link budget and timing arithmetic with
+the operand types and order of operations of a per-row parameter object,
+so a row fails with that object's message, in row order. The link budget's
+10**x stays a scalar power: numpy's vectorized power can differ from libm
+in the last bit, and outputs must keep their bytes.
 """
 
 from __future__ import annotations
@@ -164,11 +172,9 @@ def _rows(
 
     ``lengths``, ``chains`` (one validated chain per station count, its
     length unused) and ``fc_modes`` come sorted. A row is (M, L, fc,
-    generation stage time, link l/c, total L/c, T_repe), times in us,
-    computed from plain floats with the operands and order of operations
-    of the per-row ``LinkParams`` and ``OperationTimings`` this replaces.
-    Each distance, link length and T_esta gets those dataclasses' checks,
-    in row order, so the first failing row raises their error.
+    generation stage time, link l/c, total L/c, T_repe), times in us. Each
+    distance, link length and T_esta gets the checks of the dataclass that
+    would hold it, in row order, so the first failing row raises its error.
     """
     links = [(fc, replace(link_template, fc_enabled=fc)) for fc in fc_modes]
     groups = {chain.n_swap_levels: [] for chain in chains}
