@@ -21,11 +21,11 @@ smaller N2, then the smaller N1. A target that no cell meets gives an
 infeasible plan; a feasible best plan whose T_QR overflows to infinity is
 an error (the CLI exits 2), never a feasible row with zero rate.
 
-The searched rows are plain floats. The templates are validated once, each
-station count once and each distance once; each row's T_esta, stage time,
-l/c, L/c and T_repe come from the link budget and timing arithmetic with
-the operand types and order of operations of a per-row parameter object,
-so a row fails with that object's message, in row order. The link budget's
+The searched rows are plain floats; no parameter object is built per row.
+The templates are validated once, each station count once and each
+distance once. Each row passes its link length l to ``expected_esta``, its
+T_esta to ``OperationTimings.stage_time_us`` and its L to ``t_repe``, so a
+row fails with the message of the check that rejects it, in row order. The link budget's
 10**x stays a scalar power: numpy's vectorized power can differ from libm
 in the last bit, and outputs must keep their bytes.
 """
@@ -72,10 +72,6 @@ class ChainParams:
     def n_swap_levels(self) -> int:
         return int(math.log2(self.m_stations - 1))
 
-    @property
-    def link_length_km(self) -> float:
-        return self.total_length_km / (self.m_stations - 1)
-
 
 @dataclass(frozen=True)
 class ChainPlan:
@@ -120,10 +116,8 @@ def bell_measurement(
     return BellDiagonalState(params.f_op * mixed + (1.0 - params.f_op) / 4.0)
 
 
-def t_repe(chain: ChainParams, t_proj_us: float, total_length_km: float | None = None) -> float:
-    """Swap-stage time: classical relay over L/2 (default the chain's) plus one readout."""
-    if total_length_km is None:
-        total_length_km = chain.total_length_km
+def t_repe(t_proj_us: float, total_length_km: float) -> float:
+    """Swap-stage time: classical relay over L/2 plus one readout."""
     return total_length_km * 1e3 / (2 * C_VAC_M_PER_S) * 1e6 + t_proj_us
 
 
@@ -173,8 +167,9 @@ def _rows(
     ``lengths``, ``chains`` (one validated chain per station count, its
     length unused) and ``fc_modes`` come sorted. A row is (M, L, fc,
     generation stage time, link l/c, total L/c, T_repe), times in us. Each
-    distance, link length and T_esta gets the checks of the dataclass that
-    would hold it, in row order, so the first failing row raises its error.
+    distance and link length gets the checks of the dataclass that would
+    hold it and each T_esta those of ``stage_time_us``, in row order, so the
+    first failing row raises its error.
     """
     links = [(fc, replace(link_template, fc_enabled=fc)) for fc in fc_modes]
     groups = {chain.n_swap_levels: [] for chain in chains}
@@ -191,10 +186,9 @@ def _rows(
                 link_km = length / (chain.m_stations - 1)
                 check_positive("length_km", link_km)
                 lc_link = classical_delay_us(link_km)
-                repe = t_repe(chain, t_proj, length) if swaps else 0.0
+                repe = t_repe(t_proj, length) if swaps else 0.0
                 for fc, link in links:
                     t_esta = expected_esta(cavity, link, link_km)[1]
-                    check_positive("t_esta_us", t_esta)
                     stage = timings_template.stage_time_us(t_esta)
                     rows.append((chain.m_stations, length, fc, stage, lc_link, lc_total, repe))
     return groups
@@ -282,7 +276,7 @@ def optimize_plan(
     cavity: CavityParams,
     link_template: LinkParams,
     noise: GateNoiseParams,
-    timings_template: OperationTimings | None = None,
+    timings_template: OperationTimings = OperationTimings(),
     f_move: float = 0.96,
     n_max: int = 8,
     table: ChainFidelityTable | None = None,
@@ -297,15 +291,15 @@ def optimize_plan(
     first best fidelity in N1-major order. A feasible best plan whose T_QR
     overflows to infinity raises ValueError.
     """
-    template = timings_template or OperationTimings(t_esta_us=1.0)
     rows = _rows(
-        [chain.total_length_km], [chain], [chain.fc_enabled], cavity, link_template, template
+        [chain.total_length_km], [chain], [chain.fc_enabled], cavity, link_template,
+        timings_template,
     )[chain.n_swap_levels]
     if table is None:
         table = chain_fidelity_table(
             qc_zone_state(link_template, noise, f_move), chain.n_swap_levels, noise, n_max
         )
-    return _search(rows, chain.fidelity_target, template, table, n_max)[0]
+    return _search(rows, chain.fidelity_target, timings_template, table, n_max)[0]
 
 
 def rate_vs_distance(
@@ -315,7 +309,7 @@ def rate_vs_distance(
     cavity: CavityParams,
     link_template: LinkParams,
     noise: GateNoiseParams,
-    timings_template: OperationTimings | None = None,
+    timings_template: OperationTimings = OperationTimings(),
     fidelity_target: float = 0.99,
     f_move: float = 0.96,
     n_max: int = 8,
@@ -333,16 +327,15 @@ def rate_vs_distance(
     chains = {m_stations: ChainParams(m_stations, 1.0) for m_stations in stations}
     levels = {chain.n_swap_levels for chain in chains.values()}
     tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
-    template = timings_template or OperationTimings(t_esta_us=1.0)
     lengths, stations, fc_modes = sorted(distances_km), sorted(stations), sorted(fc_modes)
     if lengths and stations and fc_modes:
         # the first row's chain checks its length and the target, in ChainParams' order
         ChainParams(stations[0], lengths[0], fidelity_target=fidelity_target)
     groups = _rows(
-        lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, template
+        lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, timings_template
     )
     plans = {
-        k: iter(_search(groups[k], fidelity_target, template, table, n_max))
+        k: iter(_search(groups[k], fidelity_target, timings_template, table, n_max))
         for k, table in tables.items()
     }
     levels_per_length = [chains[m].n_swap_levels for m in stations for _ in fc_modes]

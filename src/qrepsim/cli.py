@@ -114,7 +114,7 @@ def cmd_purify(config: Config, args) -> int:
                 cavity,
                 link,
                 noise,
-                timings=cfgmod.timings(config, t_esta_us=1.0),
+                timings=cfgmod.timings(config),
                 initial_state=BellDiagonalState.werner(f0),
                 f_move=config.f_move,
             )
@@ -162,7 +162,7 @@ def cmd_chain(config: Config, args) -> int:
         cfgmod.cavity_params(config),
         cfgmod.link_params(config),
         cfgmod.noise_params(config),
-        cfgmod.timings(config, t_esta_us=1.0),
+        cfgmod.timings(config),
         f_move=config.f_move,
     )
     row = _plan_row(plan)
@@ -211,7 +211,7 @@ def cmd_sweep(config: Config, args) -> int:
         cfgmod.cavity_params(config),
         cfgmod.link_params(config),
         cfgmod.noise_params(config),
-        cfgmod.timings(config, t_esta_us=1.0),
+        cfgmod.timings(config),
         fidelity_target=config.fidelity_target,
         f_move=config.f_move,
     )

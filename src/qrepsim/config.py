@@ -113,7 +113,7 @@ def validate_config(config: Config) -> None:
         cavity_params(config)
         link_params(config)
         noise_params(config)
-        timings(config, t_esta_us=1.0)
+        timings(config)
         if not 0 <= config.fidelity_target < 1:
             raise ValueError("fidelity_target must lie in [0, 1)")
         if not 0.25 < config.f_move <= 1:
@@ -131,17 +131,14 @@ def cavity_params(config: Config) -> CavityParams:
     )
 
 
-def link_params(
-    config: Config, length_km: float | None = None, fc_enabled: bool = False
-) -> LinkParams:
+def link_params(config: Config) -> LinkParams:
     return LinkParams(
-        length_km=config.length_km if length_km is None else length_km,
+        length_km=config.length_km,
         attenuation_db_per_km=config.fiber_db_per_km,
         attenuation_db_per_km_fc=config.fiber_db_per_km_fc,
         circulator_loss_db=config.circulator_loss_db,
         n_circulators=config.n_circulators,
         detector_efficiency=config.detector_efficiency,
-        fc_enabled=fc_enabled,
         eta_fc=config.eta_fc,
         fiber_index=config.fiber_index,
         pulse_factor=config.pulse_factor,
@@ -156,14 +153,12 @@ def noise_params(config: Config) -> GateNoiseParams:
     return GateNoiseParams(f_op=config.f_op, eta_meas=config.eta_meas)
 
 
-def timings(config: Config, t_esta_us: float, l_km: float | None = None) -> OperationTimings:
+def timings(config: Config) -> OperationTimings:
     return OperationTimings(
-        t_esta_us=t_esta_us,
         t_swap_us=config.t_swap_us,
         t_move_us=config.t_move_us,
         t_proj_us=config.t_proj_us,
         p_move=config.p_move,
-        l_km=config.length_km if l_km is None else l_km,
         move_accounting=config.move_accounting,
         parallel_links=config.parallel_links,
     )

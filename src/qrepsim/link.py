@@ -14,16 +14,18 @@ Timing and success bookkeeping: the heralding success probability folds the
 post-selected gate success into the fiber/circulator/detector budget, and
 the expected e-bit preparation time is one attempt duration divided by it
 (serial mode) or, in pipelined mode, only the pulse time is retried while
-the flight time is paid once.
+the flight time is paid once. The link length is an argument of the loss
+and timing functions; ``link_budget`` uses the configured length and
+rejects a T_esta that overflows to infinity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .noise import GateNoiseParams
-from .states import BellDiagonalState, check_finite
+from .states import BellDiagonalState, check_finite, check_positive
 
 C_VAC_M_PER_S = 299792458.0
 
@@ -110,11 +112,6 @@ class LinkParams:
     def active_attenuation_db_per_km(self) -> float:
         return self.attenuation_db_per_km_fc if self.fc_enabled else self.attenuation_db_per_km
 
-    def with_length(self, length_km: float, fc_enabled: bool | None = None) -> "LinkParams":
-        if fc_enabled is None:
-            fc_enabled = self.fc_enabled
-        return replace(self, length_km=length_km, fc_enabled=fc_enabled)
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -138,10 +135,8 @@ def reflection_amplitude(p: CavityParams, atom_coupled: bool) -> complex:
     return complex(1.0 - 2.0 * p.kappa_ex_mhz / denom, 0.0)
 
 
-def link_transmission(lp: LinkParams, length_km: float | None = None) -> float:
-    """Transmission over length_km (default lp.length_km): fiber, circulators, detector, FC."""
-    if length_km is None:
-        length_km = lp.length_km
+def link_transmission(lp: LinkParams, length_km: float) -> float:
+    """Transmission over length_km: fiber, circulators, detector, FC."""
     db = lp.active_attenuation_db_per_km * length_km
     db += lp.n_circulators * lp.circulator_loss_db
     eta = 10.0 ** (-db / 10.0) * lp.detector_efficiency
@@ -161,23 +156,18 @@ def cz_success(p: CavityParams, lp: LinkParams) -> float:
     return r2 if lp.cz_accounting == "paper" else r2**2
 
 
-def herald_success(p: CavityParams, lp: LinkParams, length_km: float | None = None) -> float:
+def herald_success(p: CavityParams, lp: LinkParams, length_km: float) -> float:
     return cz_success(p, lp) * link_transmission(lp, length_km)
 
 
-def expected_esta(
-    p: CavityParams, lp: LinkParams, length_km: float | None = None
-) -> tuple[float, float]:
+def expected_esta(p: CavityParams, lp: LinkParams, length_km: float) -> tuple[float, float]:
     """(single-attempt duration, expected e-bit preparation time) in us.
 
     The attempt is one probe pulse (pulse_factor / kappa) plus photon flight
     (l/v) plus classical heralding (l/c); the 'table' convention drops the
     l/c term. Serial heralding retries the whole attempt, pipelined
-    heralding retries only the pulse. ``length_km`` defaults to
-    ``lp.length_km``.
+    heralding retries only the pulse.
     """
-    if length_km is None:
-        length_km = lp.length_km
     pulse_us = lp.pulse_factor / p.kappa_rad_per_s * 1e6
     l_m = length_km * 1e3
     flight_us = l_m / (C_VAC_M_PER_S / lp.fiber_index) * 1e6
@@ -220,12 +210,14 @@ def qc_zone_state(
 
 
 def link_budget(p: CavityParams, lp: LinkParams) -> LinkBudget:
-    t_attempt, t_esta = expected_esta(p, lp)
+    """Budget of one link at its configured length; T_esta must be finite."""
+    t_attempt, t_esta = expected_esta(p, lp, lp.length_km)
+    check_positive("t_esta_us", t_esta)
     return LinkBudget(
         r_uncoupled=reflection_amplitude(p, atom_coupled=False),
         r_coupled=reflection_amplitude(p, atom_coupled=True),
         p_cz=cz_success(p, lp),
-        p_succ=herald_success(p, lp),
+        p_succ=herald_success(p, lp, lp.length_km),
         t_attempt_us=t_attempt,
         t_esta_us=t_esta,
         heralded_state=heralded_state(lp),

@@ -14,9 +14,10 @@ balancing, phase errors random-walk and the iteration diverges after the
 first round instead of converging to the high-fidelity plateau.
 
 The engine runs rounds on Bell weights (``purify_round_weights``,
-``purify_ladder_weights``): gate noise leaves the maximally mixed state, so a
-round never leaves the Bell-diagonal manifold. ``purify_round`` and
-``purify_n_rounds`` are the 16-dimensional dense reference it is tested against.
+``purify_ladder_weights``, ``fixed_point_fidelity``): gate noise leaves the
+maximally mixed state, so a round never leaves the Bell-diagonal manifold.
+``purify_round`` and ``purify_n_rounds`` are the 16-dimensional dense
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -160,27 +161,6 @@ def purify_n_rounds(
     return PurificationSchedule(n_rounds=n, rounds=tuple(rounds), initial_state=initial)
 
 
-def fixed_point_fidelity(
-    params: GateNoiseParams,
-    tolerance: float = 1e-9,
-    max_rounds: int = 64,
-    seed_fidelity: float = 0.95,
-) -> float:
-    """Iterate the round from a high-fidelity Werner seed until |dF| < tolerance."""
-    from .states import werner
-
-    state = werner(seed_fidelity)
-    fid = fidelity_bell(state, PSI_PLUS)
-    for _ in range(max_rounds):
-        result = purify_round(state, state, params)
-        if abs(result.output_fidelity - fid) < tolerance:
-            return result.output_fidelity
-        state, fid = result.output_state, result.output_fidelity
-    raise RuntimeError(
-        f"purification fixed point did not converge within {max_rounds} rounds"
-    )
-
-
 def _balance_weights(w: np.ndarray) -> np.ndarray:
     out = w.copy()
     i_phi_minus, i_psi_minus = 1, 3
@@ -235,3 +215,22 @@ def purify_ladder_weights(
         states.append(state)
         p_list.append(p_puri)
     return tuple(states), tuple(p_list)
+
+
+def fixed_point_fidelity(
+    params: GateNoiseParams,
+    tolerance: float = 1e-9,
+    max_rounds: int = 64,
+    seed_fidelity: float = 0.95,
+) -> float:
+    """Iterate the round on Bell weights from a Werner seed until |dF| < tolerance."""
+    state = BellDiagonalState.werner(seed_fidelity)
+    fid = state.fidelity
+    for _ in range(max_rounds):
+        state, _ = purify_round_weights(state, state, params)
+        if abs(state.fidelity - fid) < tolerance:
+            return state.fidelity
+        fid = state.fidelity
+    raise RuntimeError(
+        f"purification fixed point did not converge within {max_rounds} rounds"
+    )

@@ -12,16 +12,20 @@ recurrence at the evolving fidelity. T_move is treated as the already
 averaged effective duration by default ('averaged'); the 'explicit'
 accounting divides the per-pair stage time by the transport success
 probability instead.
+
+``OperationTimings`` holds configured durations only; T_esta and l are
+arguments. Sums run left to right, as ``sum()`` did before Python 3.12
+began to compensate it, so results do not depend on the Python version.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
-from .states import BellDiagonalState, check_finite
+from .states import BellDiagonalState, check_finite, check_positive
 # purify_n_rounds: unused, but bench/test_spans.py checks it is bound here
 from .purify import purify_n_rounds  # noqa: F401
 
@@ -35,33 +39,30 @@ def classical_delay_us(l_km: float) -> float:
 
 @dataclass(frozen=True)
 class OperationTimings:
-    t_esta_us: float
+    """Configured operation durations; T_esta and the link length come per query."""
+
     t_swap_us: float = 2.0
     t_move_us: float = 20.0
     t_proj_us: float = 200.0
     p_move: float = 0.9
-    l_km: float = 0.1
     move_accounting: str = "averaged"
     parallel_links: int = 1
 
     def __post_init__(self):
         check_finite(self)
-        for name in ("t_esta_us", "t_swap_us", "t_move_us", "t_proj_us"):
+        for name in ("t_swap_us", "t_move_us", "t_proj_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.p_move <= 1:
             raise ValueError("p_move must lie in (0, 1]")
-        if self.l_km <= 0:
-            raise ValueError("l_km must be positive")
         if self.move_accounting not in MOVE_ACCOUNTINGS:
             raise ValueError(f"move_accounting must be one of {MOVE_ACCOUNTINGS}")
         if self.parallel_links < 1:
             raise ValueError("parallel_links must be at least 1")
 
-    def stage_time_us(self, t_esta_us: float | None = None) -> float:
-        """Per-pair time of the pipelined generation stage (T_esta default self.t_esta_us)."""
-        if t_esta_us is None:
-            t_esta_us = self.t_esta_us
+    def stage_time_us(self, t_esta_us: float) -> float:
+        """Per-pair time of the pipelined generation stage at a finite, positive T_esta."""
+        check_positive("t_esta_us", t_esta_us)
         stage = max(t_esta_us + self.t_swap_us, self.t_swap_us + self.t_move_us)
         if self.move_accounting == "explicit":
             stage /= self.p_move
@@ -88,18 +89,23 @@ def t_puri(t_proj_us: float, p_puri: float) -> float:
 def t_eg(
     n: int,
     timings: OperationTimings,
+    t_esta_us: float,
+    l_km: float,
     per_round_p_puri,
     final_fidelity: float = float("nan"),
 ) -> ScheduleResult:
-    """Pipeline time and effective rate for N purification rounds."""
+    """Pipeline time and effective rate for N purification rounds over a link of l_km."""
     if n < 0:
         raise ValueError("round count must be nonnegative")
     p_list = list(per_round_p_puri)
     if len(p_list) < n:
         raise ValueError(f"need {n} per-round success probabilities, got {len(p_list)}")
-    generation = 2**n * timings.stage_time_us()
-    lc = classical_delay_us(timings.l_km)
-    purification = sum(t_puri(timings.t_proj_us, p) + lc for p in p_list[:n])
+    generation = 2**n * timings.stage_time_us(t_esta_us)
+    check_positive("l_km", l_km)
+    lc = classical_delay_us(l_km)
+    purification = 0.0  # summed left to right: sum() compensates from Python 3.12 on
+    for p in p_list[:n]:
+        purification += t_puri(timings.t_proj_us, p) + lc
     total = max(generation, purification)
     return ScheduleResult(
         n_rounds=n,
@@ -116,37 +122,42 @@ def rate_fidelity_curve(
     cavity: CavityParams,
     link: LinkParams,
     noise: GateNoiseParams,
-    timings: OperationTimings | None = None,
+    timings: OperationTimings = OperationTimings(),
     initial_state: BellDiagonalState | None = None,
     f_move: float = 0.96,
 ) -> list[ScheduleResult]:
     """Fidelity and effective rate versus purification rounds N = 0..n_max.
 
     The default initial state is the heralded pair pushed through the noisy
-    swap and transport (the e-bit as it lands in the computation zone).
+    swap and transport (the e-bit as it lands in the computation zone). A
+    T_esta or a T_EG that overflows to infinity is an error, never a row
+    with zero rate.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported")
-    _, t_esta_us = expected_esta(cavity, link)
-    if timings is None:
-        timings = OperationTimings(t_esta_us=t_esta_us, l_km=link.length_km)
-    else:
-        timings = replace(timings, t_esta_us=t_esta_us, l_km=link.length_km)
+    _, t_esta_us = expected_esta(cavity, link, link.length_km)
+    check_positive("t_esta_us", t_esta_us)  # before the ladder runs
     if initial_state is None:
         initial_state = qc_zone_state(link, noise, f_move)
     states, p_list = purify_ladder_weights(initial_state, n_max, noise)
-    return [
-        t_eg(n, timings, p_list, final_fidelity=states[n].fidelity) for n in range(n_max + 1)
+    curve = [
+        t_eg(n, timings, t_esta_us, link.length_km, p_list, final_fidelity=states[n].fidelity)
+        for n in range(n_max + 1)
     ]
+    for result in curve:
+        check_positive("t_eg_us", result.t_eg_us)
+    return curve
 
 
 def calibrate_t_proj(
     target_rate_hz: float,
     n: int,
     timings: OperationTimings,
+    t_esta_us: float,
+    l_km: float,
     per_round_p_puri,
 ) -> float:
-    """Readout time that makes the N-round pipeline hit a target rate.
+    """Readout time that makes the N-round pipeline over a link of l_km hit a target rate.
 
     Solves sum_k (t_proj / p_k + l/c) = parallel_links * 1e6 / target for
     t_proj; only valid where the pipeline is purification dominated, which
@@ -159,12 +170,17 @@ def calibrate_t_proj(
     p_list = list(per_round_p_puri)[:n]
     if len(p_list) < n:
         raise ValueError(f"need {n} per-round success probabilities, got {len(p_list)}")
+    generation = 2**n * timings.stage_time_us(t_esta_us)
+    check_positive("l_km", l_km)
     total_us = timings.parallel_links * 1e6 / target_rate_hz
-    lc = classical_delay_us(timings.l_km)
-    t_proj = (total_us - n * lc) / sum(1.0 / p for p in p_list)
+    lc = classical_delay_us(l_km)
+    inverse_p = 0.0  # summed left to right, as in t_eg
+    for p in p_list:
+        inverse_p += 1.0 / p
+    t_proj = (total_us - n * lc) / inverse_p
     if t_proj <= 0:
         raise ValueError("target rate is unreachable: classical delays alone exceed it")
-    if 2**n * timings.stage_time_us() > total_us:
+    if generation > total_us:
         raise ValueError(
             "target rate is generation limited; t_proj cannot be calibrated to it"
         )

@@ -1,7 +1,7 @@
 """The scalar (N1, N2) plan search, kept as the reference for the array search.
 
 ``optimize_plan`` walks the (N1, N2) grid one cell at a time and sums each
-cell's purification times with Python's ``sum``; ``rate_vs_distance`` calls
+cell's purification times left to right; ``rate_vs_distance`` calls
 it once per (L, M, fc) row. ``qrepsim.chain`` runs one array search instead;
 tests require the two to return equal ``ChainPlan`` values field by field.
 Unlike the package, this loop reports a plan whose T_QR overflows to
@@ -21,37 +21,39 @@ def optimize_plan(
     cavity: CavityParams,
     link_template: LinkParams,
     noise: GateNoiseParams,
-    timings_template: OperationTimings | None = None,
+    timings_template: OperationTimings = OperationTimings(),
     f_move: float = 0.96,
     n_max: int = 8,
     table=None,
 ) -> ChainPlan:
-    link = link_template.with_length(chain.link_length_km, chain.fc_enabled)
-    _, t_esta_us = expected_esta(cavity, link)
-    if timings_template is None:
-        timings = OperationTimings(t_esta_us=t_esta_us, l_km=link.length_km)
-    else:
-        timings = replace(timings_template, t_esta_us=t_esta_us, l_km=link.length_km)
+    link = replace(
+        link_template,
+        length_km=chain.total_length_km / (chain.m_stations - 1),
+        fc_enabled=chain.fc_enabled,
+    )
+    _, t_esta_us = expected_esta(cavity, link, link.length_km)
+    timings = timings_template
+    timings.stage_time_us(t_esta_us)  # rejects a T_esta that is not finite, as the package does
     if table is None:
         table = chain_fidelity_table(
             qc_zone_state(link, noise, f_move), chain.n_swap_levels, noise, n_max
         )
-    repe = t_repe(chain, timings.t_proj_us) if chain.n_swap_levels > 0 else 0.0
+    repe = t_repe(timings.t_proj_us, chain.total_length_km) if chain.n_swap_levels > 0 else 0.0
     lc_total = classical_delay_us(chain.total_length_km)
     best_key = None
     best = None
     best_fid = (-1.0, 0, 0)
     for n1 in range(n_max + 1):
-        pair_time = t_eg(n1, timings, table.pre_swap_p).t_eg_us + repe
+        pair_time = t_eg(n1, timings, t_esta_us, link.length_km, table.pre_swap_p).t_eg_us + repe
         for n2 in range(n_max + 1):
             f_m = table.end_fidelities[n1][n2]
             if f_m > best_fid[0]:
                 best_fid = (f_m, n1, n2)
             if f_m < chain.fidelity_target - 1e-12:
                 continue
-            purification = sum(
-                t_puri(timings.t_proj_us, p) + lc_total for p in table.end_p[n1][:n2]
-            )
+            purification = 0  # sum()'s start, then left to right as sum() adds before 3.12
+            for p in table.end_p[n1][:n2]:
+                purification += t_puri(timings.t_proj_us, p) + lc_total
             t_qr = max(2**n2 * pair_time, purification)
             key = (t_qr, n2, n1)
             if best_key is None or key < best_key:
@@ -92,7 +94,7 @@ def rate_vs_distance(
     cavity: CavityParams,
     link_template: LinkParams,
     noise: GateNoiseParams,
-    timings_template: OperationTimings | None = None,
+    timings_template: OperationTimings = OperationTimings(),
     fidelity_target: float = 0.99,
     f_move: float = 0.96,
     n_max: int = 8,

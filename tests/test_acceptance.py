@@ -59,8 +59,8 @@ def _report(num: int, description: str, checks: dict):
 def test_criterion_1_link_budget():
     cavity, link = CavityParams(), LinkParams()
     r_un = abs(reflection_amplitude(cavity, False)) ** 2
-    p_succ = herald_success(cavity, link)
-    _, t_esta = expected_esta(cavity, link)
+    p_succ = herald_success(cavity, link, link.length_km)
+    _, t_esta = expected_esta(cavity, link, link.length_km)
     rate_khz = 1e3 / t_esta
     _report(
         1,
@@ -166,10 +166,9 @@ def test_criterion_7_rates_and_calibration():
     rate0_khz = curve[0].effective_rate_hz / 1e3
     rate4_khz = curve[4].effective_rate_hz / 1e3
     # calibration: solve t_proj from the 1.1 kHz target
-    _, t_esta = expected_esta(CavityParams(), LinkParams())
-    timings = OperationTimings(t_esta_us=t_esta, l_km=0.1)
+    _, t_esta = expected_esta(CavityParams(), LinkParams(), 0.1)
     p_list = purify_ladder_weights(qc_zone_state(LinkParams(), NOISY), 4, NOISY)[1]
-    t_proj = calibrate_t_proj(1100.0, 4, timings, p_list)
+    t_proj = calibrate_t_proj(1100.0, 4, OperationTimings(), t_esta, 0.1, p_list)
     _report(
         7,
         f"rates: N=0 {rate0_khz:.2f} kHz, N=4 {rate4_khz:.3f} kHz; "

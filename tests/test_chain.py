@@ -144,13 +144,12 @@ def test_chain_params_validation():
     with pytest.raises(ValueError):
         ChainParams(2, 0.0)
     assert ChainParams(17, 10.0).n_swap_levels == 4
-    assert ChainParams(3, 10.0).link_length_km == pytest.approx(5.0)
 
 
 def test_t_repe_examples():
-    assert t_repe(ChainParams(3, 0.2), 200.0) == pytest.approx(200.33, abs=0.01)
-    assert t_repe(ChainParams(3, 1e-9), 200.0) == pytest.approx(200.0, abs=1e-6)
-    assert t_repe(ChainParams(3, 500.0), 200.0) == pytest.approx(1033.0, abs=1.0)
+    assert t_repe(200.0, 0.2) == pytest.approx(200.33, abs=0.01)
+    assert t_repe(200.0, 1e-9) == pytest.approx(200.0, abs=1e-6)
+    assert t_repe(200.0, 500.0) == pytest.approx(1033.0, abs=1.0)
 
 
 def test_optimize_plan_two_nodes():
@@ -215,12 +214,12 @@ def test_lossless_link_success_independent_of_length():
     lossless = LinkParams(
         attenuation_db_per_km=0.0, herald_mode="pipelined", length_km=1.0
     )
-    p1 = herald_success(CavityParams(), lossless)
-    p2 = herald_success(CavityParams(), lossless.with_length(100.0))
+    p1 = herald_success(CavityParams(), lossless, 1.0)
+    p2 = herald_success(CavityParams(), lossless, 100.0)
     assert p1 == pytest.approx(p2, abs=1e-15)
     # pipelined expected time differs only by the flight terms
-    t1 = expected_esta(CavityParams(), lossless)[1]
-    t2 = expected_esta(CavityParams(), lossless.with_length(100.0))[1]
+    t1 = expected_esta(CavityParams(), lossless, 1.0)[1]
+    t2 = expected_esta(CavityParams(), lossless, 100.0)[1]
     c = 299792458.0
     flight_diff = (99.0e3 / (c / 1.5) + 99.0e3 / c) * 1e6
     assert t2 - t1 == pytest.approx(flight_diff, rel=1e-9)

@@ -254,9 +254,44 @@ def test_params_reject_non_finite():
         lambda: CavityParams(g_mhz=nan),
         lambda: LinkParams(length_km=inf),
         lambda: LinkParams(fiber_index=nan),
-        lambda: OperationTimings(t_esta_us=1.0, t_proj_us=nan),
-        lambda: OperationTimings(t_esta_us=inf),
+        lambda: OperationTimings(t_proj_us=nan),
+        lambda: OperationTimings().stage_time_us(inf),
         lambda: ChainParams(5, nan),
     ):
         with pytest.raises(ValueError, match="must be finite"):
             build()
+
+
+# A link budget or pipeline time that overflows to infinity: link printed
+# t_esta_us = inf (Infinity in JSON, which is not JSON) and purify printed
+# t_eg_us = inf rows with rate 0, both with exit code 0.
+
+
+@pytest.mark.parametrize(
+    "length_km, argv, message",
+    [
+        ("1015", ["link"], "t_esta_us must be finite, got inf"),
+        ("1015", ["link", "--format", "json"], "t_esta_us must be finite, got inf"),
+        ("1010", ["purify", "--n-max", "10"], "t_eg_us must be finite, got inf"),
+        (
+            "1010",
+            ["purify", "--n-max", "10", "--format", "json"],
+            "t_eg_us must be finite, got inf",
+        ),
+    ],
+)
+def test_cli_rejects_an_infinite_time(tmp_path, capsys, length_km, argv, message):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"length_km = {length_km}\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_cli_purify_keeps_the_largest_finite_rows(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("length_km = 1000\n")
+    assert main(["purify", "--n-max", "10", "--config", str(cfg)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 44

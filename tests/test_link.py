@@ -56,8 +56,8 @@ def test_reflection_magnitude_bounded():
 def test_link_transmission_default():
     # 0.1 km at 3 dB/km, two 1 dB circulators, 75% detector
     expected = 10 ** (-(3 * 0.1 + 2 * 1.0) / 10) * 0.75
-    assert link_transmission(LinkParams()) == pytest.approx(expected, abs=1e-12)
-    assert link_transmission(LinkParams()) == pytest.approx(0.441633, abs=1e-5)
+    assert link_transmission(LinkParams(), 0.1) == pytest.approx(expected, abs=1e-12)
+    assert link_transmission(LinkParams(), 0.1) == pytest.approx(0.441633, abs=1e-5)
 
 
 def test_link_transmission_lossless():
@@ -67,17 +67,17 @@ def test_link_transmission_lossless():
         circulator_loss_db=0.0,
         detector_efficiency=1.0,
     )
-    assert link_transmission(lp) == pytest.approx(1.0, abs=1e-9)
+    assert link_transmission(lp, lp.length_km) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_link_transmission_fc_factor():
-    base = link_transmission(LinkParams(attenuation_db_per_km_fc=3.0))
-    with_fc = link_transmission(LinkParams(fc_enabled=True, attenuation_db_per_km_fc=3.0))
+    base = link_transmission(LinkParams(attenuation_db_per_km_fc=3.0), 0.1)
+    with_fc = link_transmission(LinkParams(fc_enabled=True, attenuation_db_per_km_fc=3.0), 0.1)
     assert with_fc == pytest.approx(base * 0.36, abs=1e-12)
 
 
 def test_herald_success_default():
-    assert herald_success(CavityParams(), LinkParams()) == pytest.approx(0.36, abs=0.01)
+    assert herald_success(CavityParams(), LinkParams(), 0.1) == pytest.approx(0.36, abs=0.01)
 
 
 def test_herald_success_perfect_limit():
@@ -88,13 +88,13 @@ def test_herald_success_perfect_limit():
         circulator_loss_db=0.0,
         detector_efficiency=1.0,
     )
-    assert herald_success(p, lp) == pytest.approx(1.0, abs=1e-4)
+    assert herald_success(p, lp, lp.length_km) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_herald_success_with_fc():
-    p_base = herald_success(CavityParams(), LinkParams(attenuation_db_per_km_fc=3.0))
+    p_base = herald_success(CavityParams(), LinkParams(attenuation_db_per_km_fc=3.0), 0.1)
     p_fc = herald_success(
-        CavityParams(), LinkParams(fc_enabled=True, attenuation_db_per_km_fc=3.0)
+        CavityParams(), LinkParams(fc_enabled=True, attenuation_db_per_km_fc=3.0), 0.1
     )
     assert p_fc == pytest.approx(p_base * 0.36, abs=1e-12)
 
@@ -107,25 +107,25 @@ def test_cz_accounting_option():
 
 
 def test_herald_monotonicity():
-    base = herald_success(CavityParams(), LinkParams())
-    assert herald_success(CavityParams(), LinkParams(length_km=0.2)) < base
-    assert herald_success(CavityParams(), LinkParams(attenuation_db_per_km=4.0)) < base
-    assert herald_success(CavityParams(), LinkParams(circulator_loss_db=2.0)) < base
-    assert herald_success(CavityParams(), LinkParams(detector_efficiency=0.9)) > base
+    base = herald_success(CavityParams(), LinkParams(), 0.1)
+    assert herald_success(CavityParams(), LinkParams(), 0.2) < base
+    assert herald_success(CavityParams(), LinkParams(attenuation_db_per_km=4.0), 0.1) < base
+    assert herald_success(CavityParams(), LinkParams(circulator_loss_db=2.0), 0.1) < base
+    assert herald_success(CavityParams(), LinkParams(detector_efficiency=0.9), 0.1) > base
 
 
 def test_expected_esta_serial_default():
-    t_attempt, t_esta = expected_esta(CavityParams(), LinkParams())
+    t_attempt, t_esta = expected_esta(CavityParams(), LinkParams(), 0.1)
     assert t_esta == pytest.approx(4.53, abs=0.1)
     assert 1e3 / t_esta == pytest.approx(221.0, abs=5.0)
     # consistency: serial expected time is one attempt over the success probability
-    p = herald_success(CavityParams(), LinkParams())
+    p = herald_success(CavityParams(), LinkParams(), 0.1)
     assert t_esta * p == pytest.approx(t_attempt, abs=1e-12)
 
 
 def test_expected_esta_attempt_breakdown():
     # pulse 20/kappa + l/v + l/c with kappa = 2*pi*4e6 rad/s
-    t_attempt, _ = expected_esta(CavityParams(), LinkParams())
+    t_attempt, _ = expected_esta(CavityParams(), LinkParams(), 0.1)
     c = 299792458.0
     pulse = 20 / (2 * np.pi * 4e6) * 1e6
     flight = 100 / (c / 1.5) * 1e6 + 100 / c * 1e6
@@ -140,22 +140,20 @@ def test_expected_esta_short_perfect_limit():
         circulator_loss_db=0.0,
         detector_efficiency=1.0,
     )
-    _, t_esta = expected_esta(p, lp)
+    _, t_esta = expected_esta(p, lp, lp.length_km)
     pulse = 20 / (2 * np.pi * 4e6) * 1e6
     assert t_esta == pytest.approx(pulse, rel=1e-3)
 
 
 def test_expected_esta_table_convention():
-    _, t_esta = expected_esta(CavityParams(), LinkParams(esta_convention="table"))
+    _, t_esta = expected_esta(CavityParams(), LinkParams(esta_convention="table"), 0.1)
     assert t_esta == pytest.approx(3.6, abs=0.1)
 
 
 def test_pipelined_never_slower():
     for length in (0.1, 1.0, 10.0, 100.0):
-        serial = expected_esta(CavityParams(), LinkParams(length_km=length))[1]
-        pipe = expected_esta(
-            CavityParams(), LinkParams(length_km=length, herald_mode="pipelined")
-        )[1]
+        serial = expected_esta(CavityParams(), LinkParams(), length)[1]
+        pipe = expected_esta(CavityParams(), LinkParams(herald_mode="pipelined"), length)[1]
         assert pipe <= serial
 
 

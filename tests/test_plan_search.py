@@ -12,6 +12,7 @@ the suite is repeatable.
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from qrepsim.chain import ChainFidelityTable, chain_fidelity_table
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 OVERFLOW = (ValueError, "t_qr_us must be finite, got inf")
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFAULTS = (LinkParams(), GateNoiseParams(), OperationTimings(t_esta_us=1.0), 0.96)
+DEFAULTS = (LinkParams(), GateNoiseParams(), OperationTimings(), 0.96)
 
 stations = st.sampled_from([2, 3, 5, 9, 17, 33])
 # up to 1012 km: past the T_QR overflow of M = 2 without FC, short of the link budget's own
@@ -64,7 +65,6 @@ def designs(draw):
         eta_meas=draw(st.one_of(st.just(1.0), st.floats(0.95, 1.0))),
     )
     timings = OperationTimings(
-        t_esta_us=1.0,
         t_proj_us=draw(st.floats(50.0, 400.0)),
         move_accounting=draw(st.sampled_from(["averaged", "explicit"])),
         parallel_links=draw(st.integers(1, 4)),
@@ -204,7 +204,8 @@ def test_optimize_plan_equals_scalar_search(
     # an 8-round table searched only up to n_max, or a table built for n_max
     table = None
     if shared_table:
-        zone = qc_zone_state(link.with_length(chain.link_length_km, fc), noise, f_move)
+        link_km = chain.total_length_km / (chain.m_stations - 1)
+        zone = qc_zone_state(replace(link, length_km=link_km, fc_enabled=fc), noise, f_move)
         table = chain_fidelity_table(zone, chain.n_swap_levels, noise, 8)
     args = (chain, CavityParams(), link, noise, timings)
     kwargs = dict(f_move=f_move, n_max=n_max, table=table)
@@ -255,7 +256,7 @@ def test_search_equals_scalar_search_on_built_tables(
     table, length, m_stations, fc, t_proj_us, target, offset, n_max
 ):
     chain = ChainParams(m_stations, length, fidelity_target=target + offset, fc_enabled=fc)
-    timings = OperationTimings(t_esta_us=1.0, t_proj_us=t_proj_us)
+    timings = OperationTimings(t_proj_us=t_proj_us)
     args = (chain, CavityParams(), LinkParams(), GateNoiseParams(), timings)
     kwargs = dict(n_max=min(n_max, len(table.pre_swap_p)), table=table)
     reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
@@ -273,7 +274,7 @@ def test_search_equals_scalar_search_on_built_tables(
 )
 def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
     args = (ChainParams(2, 0.1, fidelity_target=0.99), CavityParams(), LinkParams())
-    args += (GateNoiseParams(), OperationTimings(t_esta_us=1.0, t_proj_us=t_proj_us))
+    args += (GateNoiseParams(), OperationTimings(t_proj_us=t_proj_us))
 
     def search(feasible_cells):
         end_f = tuple(

@@ -9,6 +9,7 @@ from qrepsim import (
     PSI_PLUS,
     PurificationError,
     bell_state,
+    fidelity_bell,
     fixed_point_fidelity,
     purify_n_rounds,
     purify_round,
@@ -166,6 +167,32 @@ def test_fixed_point_heavy_noise_regression():
     # maximally mixed state
     value = fixed_point_fidelity(GateNoiseParams(f_op=0.9, eta_meas=0.9))
     assert value == pytest.approx(0.25, abs=1e-6)
+
+
+def _dense_fixed_point(params, tolerance=1e-9, max_rounds=64, seed_fidelity=0.95):
+    """The fixed-point iteration on the 16-dimensional dense round."""
+    state = werner(seed_fidelity)
+    fid = fidelity_bell(state, PSI_PLUS)
+    for _ in range(max_rounds):
+        result = purify_round(state, state, params)
+        if abs(result.output_fidelity - fid) < tolerance:
+            return result.output_fidelity
+        state, fid = result.output_state, result.output_fidelity
+    raise RuntimeError("no convergence")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        NOISY,
+        IDEAL_OPS,
+        GateNoiseParams(f_op=0.9, eta_meas=0.9),  # heavy noise: contracts to 0.25
+        GateNoiseParams(f_op=0.97, eta_meas=0.99),
+        GateNoiseParams(f_op=0.995, eta_meas=0.96),
+    ],
+)
+def test_fixed_point_equals_the_dense_iteration(params):
+    assert fixed_point_fidelity(params) == pytest.approx(_dense_fixed_point(params), abs=1e-12)
 
 
 def test_fixed_point_monotone_in_noise():
