@@ -2,9 +2,9 @@
 
 Deterministic simulation of heralded entanglement links, entanglement
 purification, entanglement swapping chains, and the schedule optimization
-tying them into rate/fidelity curves. Production runs on four Bell weights
-per pair in closed form; the dense density-matrix circuits (``states``,
-``noise``, ``purify_round``) are the reference the tests check it against.
+tying them into rate/fidelity curves. Production runs on four float Bell
+weights per pair in closed form; the dense circuits (``states``, ``noise``,
+``purify_round``) are the reference the tests check it against.
 """
 
 from .states import (

@@ -4,7 +4,7 @@ A chain of M stations (M-1 a power of two) swaps its per-link e-bits in
 m = log2(M-1) pairwise levels. Each Bell measurement is a noisy CNOT on the
 two middle qubits, an ideal Hadamard, two noisy readouts, and the
 outcome-conditioned Pauli correction on the far end; the engine applies it
-to Bell weights in closed form. Purification runs before the swaps (N1
+to four float Bell weights in closed form. Purification runs before the swaps (N1
 rounds per link) and after them (N2 rounds end to end), and the total time
 
     T_QR(N1, N2) = max( 2^N2 * (T_EG(N1) + T_repe),
@@ -41,7 +41,7 @@ from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zon
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
 from .schedule import OperationTimings, classical_delay_us, t_puri
-from .states import BELL_BITS, BellDiagonalState, check_finite, check_positive
+from .states import BellDiagonalState, check_finite, check_positive
 # purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
 from .purify import purify_n_rounds  # noqa: F401
 from .states import expand_operator  # noqa: F401
@@ -87,12 +87,15 @@ class ChainPlan:
     feasible: bool
 
 
-def _xor_combine(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+# (i1, i2, index of the label (a1^a2, b1^b2)) in loop order; a label's index is a + 2b
+_XOR_TERMS = tuple((i1, i2, i1 ^ i2) for i1 in range(4) for i2 in range(4))
+
+
+def _xor_combine(w1, w2) -> list:
     """Weights of the label (a1^a2, b1^b2) for independent labels drawn from w1 and w2."""
-    out = np.zeros(4)
-    for i1, (a1, b1) in enumerate(BELL_BITS):
-        for i2, (a2, b2) in enumerate(BELL_BITS):
-            out[BELL_BITS.index((a1 ^ a2, b1 ^ b2))] += w1[i1] * w2[i2]
+    out = [0.0] * 4
+    for i1, i2, k in _XOR_TERMS:
+        out[k] += w1[i1] * w2[i2]
     return out
 
 
@@ -109,11 +112,11 @@ def bell_measurement(
     probability 1 - eta; with probability 1 - f_op the gate leaves the end
     pair maximally mixed.
     """
-    right_readout = {True: params.eta_meas, False: 1.0 - params.eta_meas}
+    ok, err = params.eta_meas, 1.0 - params.eta_meas
     # distribution of the bits added to (a1^a2, b1^b2): (0, 1) when both readouts are right
-    offset = np.array([right_readout[a == 0] * right_readout[b == 1] for a, b in BELL_BITS])
+    offset = (ok * err, err * err, ok * ok, err * ok)  # BELL_BITS order
     mixed = _xor_combine(_xor_combine(left.weights, right.weights), offset)
-    return BellDiagonalState(params.f_op * mixed + (1.0 - params.f_op) / 4.0)
+    return BellDiagonalState(tuple(params.f_op * m + (1.0 - params.f_op) / 4.0 for m in mixed))
 
 
 def t_repe(t_proj_us: float, total_length_km: float) -> float:

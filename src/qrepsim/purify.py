@@ -13,7 +13,7 @@ error species the parity check suppresses. Without this Deutsch-style
 balancing, phase errors random-walk and the iteration diverges after the
 first round instead of converging to the high-fidelity plateau.
 
-The engine runs rounds on Bell weights (``purify_round_weights``,
+The engine runs rounds on four float Bell weights (``purify_round_weights``,
 ``purify_ladder_weights``, ``fixed_point_fidelity``): gate noise leaves the
 maximally mixed state, so a round never leaves the Bell-diagonal manifold.
 ``purify_round`` and ``purify_n_rounds`` are the 16-dimensional dense
@@ -27,16 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import GateNoiseParams, noisy_measure_z, noisy_two_qubit_gate
-from .states import (
-    BELL_BITS,
-    PSI_PLUS,
-    BellDiagonalState,
-    DensityMatrix,
-    PAULI_X,
-    ID2,
-    fidelity_bell,
-    tensor,
-)
+from .states import ID2, PAULI_X, PSI_PLUS, BellDiagonalState, DensityMatrix, fidelity_bell, tensor
 
 
 class PurificationError(ValueError):
@@ -161,11 +152,8 @@ def purify_n_rounds(
     return PurificationSchedule(n_rounds=n, rounds=tuple(rounds), initial_state=initial)
 
 
-def _balance_weights(w: np.ndarray) -> np.ndarray:
-    out = w.copy()
-    i_phi_minus, i_psi_minus = 1, 3
-    out[i_phi_minus], out[i_psi_minus] = w[i_psi_minus], w[i_phi_minus]
-    return out
+# (i1, i2, index of the kept label (a1^a2, b1), parity b1^b2) in loop order; index a + 2b
+_ROUND_TERMS = tuple((i1, i2, i1 ^ (i2 & 1), (i1 ^ i2) >> 1) for i1 in range(4) for i2 in range(4))
 
 
 def purify_round_weights(
@@ -182,25 +170,23 @@ def purify_round_weights(
     when odd. Gate noise contributes a fully mixed floor of (1-f^2)/8 per
     Bell weight and (1-f^2)/2 to the acceptance probability.
     """
-    w1 = np.asarray(kept.weights, dtype=float)
-    w2 = np.asarray(sacrificed.weights, dtype=float)
-    if balanced:
-        w1 = _balance_weights(w1)
-        w2 = _balance_weights(w2)
+    w1, w2 = kept.weights, sacrificed.weights
+    if balanced:  # swap the phi- and psi- weights
+        w1 = (w1[0], w1[3], w1[2], w1[1])
+        w2 = (w2[0], w2[3], w2[2], w2[1])
     f2 = params.f_op**2
     eta = params.eta_meas
-    accept = {0: eta**2 + (1 - eta) ** 2, 1: 2 * eta * (1 - eta)}
-    index = {ab: i for i, ab in enumerate(BELL_BITS)}
-    out = np.full(4, (1.0 - f2) / 8.0)
-    for i1, (a1, b1) in enumerate(BELL_BITS):
-        for i2, (a2, b2) in enumerate(BELL_BITS):
-            out[index[(a1 ^ a2, b1)]] += f2 * w1[i1] * w2[i2] * accept[b1 ^ b2]
-    p_puri = float(out.sum())
+    accept = (eta**2 + (1 - eta) ** 2, 2 * eta * (1 - eta))
+    out = [(1.0 - f2) / 8.0] * 4
+    for i1, i2, k, parity in _ROUND_TERMS:
+        out[k] += f2 * w1[i1] * w2[i2] * accept[parity]
+    o0, o1, o2, o3 = out
+    p_puri = ((o0 + o1) + o2) + o3
     if p_puri < 1e-12:
         raise PurificationError(
             "purification round degenerated: acceptance probability below 1e-12"
         )
-    return BellDiagonalState(out / p_puri), p_puri
+    return BellDiagonalState((o0 / p_puri, o1 / p_puri, o2 / p_puri, o3 / p_puri)), p_puri
 
 
 def purify_ladder_weights(

@@ -1,7 +1,7 @@
 """Bell weights for the engine, and the dense algebra that checks it.
 
-Production runs on :class:`BellDiagonalState`, four weights per pair in
-``BELL_LABELS`` order: every stage maps Bell-diagonal pairs to Bell-diagonal
+Production runs on :class:`BellDiagonalState`, four float weights per pair in
+``BELL_LABELS`` order, and every stage maps Bell-diagonal pairs to Bell-diagonal
 pairs. The rest is the dense reference the tests compare the engine with:
 exact 2^n x 2^n complex matrices with n <= 4, in big-endian qubit order
 (basis index i spells |q0 q1 ... q_{n-1}>), whose physicality (trace one,
@@ -134,23 +134,34 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class BellDiagonalState:
-    """Weights on the four Bell projectors, ordered as BELL_LABELS."""
+    """Weights on the four Bell projectors, ordered as BELL_LABELS, as a tuple of floats.
 
-    weights: np.ndarray
+    Lists and arrays are converted. Sums run left to right, as numpy sums four floats.
+    """
+
+    weights: tuple
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (4,):
+        w = self.weights
+        if type(w) is not tuple:  # the engine passes tuples of floats
+            w = np.asarray(w, dtype=float)
+            w = tuple(w.tolist()) if w.ndim == 1 else ()
+        if len(w) != 4:
             raise ValueError("BellDiagonalState needs exactly four weights")
-        if np.any(w < -1e-9) or np.any(w > 1 + 1e-9):
-            raise ValueError(f"Bell weights out of [0, 1]: {w}")
-        total = w.sum()
+        w0, w1, w2, w3 = w
+        lo, hi = -1e-9, 1 + 1e-9
+        if w0 < lo or w1 < lo or w2 < lo or w3 < lo or w0 > hi or w1 > hi or w2 > hi or w3 > hi:
+            raise ValueError(f"Bell weights out of [0, 1]: {np.array(w, dtype=float)}")
+        total = 0.0 + w0 + w1 + w2 + w3  # numpy's order: from 0.0, so four -0.0 sum to 0.0
+        if not math.isfinite(total):  # in range, so a NaN weight
+            raise ValueError("Bell weights must be finite")
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"Bell weights sum to {total}, expected 1")
-        w = np.clip(w, 0.0, 1.0)
-        w = w / w.sum()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        if not (0.0 <= w0 <= 1.0 and 0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0 and 0.0 <= w3 <= 1.0):
+            # np.clip(w, 0, 1); like numpy's, max keeps -0.0
+            w0, w1, w2, w3 = [min(max(x, 0.0), 1.0) for x in w]
+        total = ((w0 + w1) + w2) + w3
+        object.__setattr__(self, "weights", (w0 / total, w1 / total, w2 / total, w3 / total))
 
     @classmethod
     def werner(cls, fidelity: float) -> "BellDiagonalState":
@@ -158,15 +169,15 @@ class BellDiagonalState:
         if not 0.25 <= fidelity <= 1.0:
             raise ValueError(f"Werner fidelity {fidelity} outside [0.25, 1]")
         rest = (1.0 - fidelity) / 3.0
-        return cls(np.array([rest, rest, fidelity, rest]))  # BELL_LABELS order
+        return cls((rest, rest, fidelity, rest))  # BELL_LABELS order
 
     @property
     def fidelity(self) -> float:
         """Weight on the psi+ target."""
-        return float(self.weights[BELL_LABELS.index(PSI_PLUS)])
+        return self.weights[2]  # BELL_LABELS.index(PSI_PLUS)
 
     def weight(self, label: str) -> float:
-        return float(self.weights[BELL_LABELS.index(label)])
+        return self.weights[BELL_LABELS.index(label)]
 
     def to_density_matrix(self) -> DensityMatrix:
         m = sum(

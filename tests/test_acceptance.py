@@ -154,7 +154,7 @@ def test_criterion_6_oracle_equivalence():
         full_bd, _ = to_bell_diagonal(full.output_state)
         checks["fast path weights match full simulation to 1e-9"] = checks.get(
             "fast path weights match full simulation to 1e-9", True
-        ) and bool(np.max(np.abs(fast.weights - full_bd.weights)) <= 1e-9)
+        ) and bool(np.max(np.abs(np.asarray(fast.weights) - full_bd.weights)) <= 1e-9)
         checks["fast path success matches full simulation to 1e-9"] = checks.get(
             "fast path success matches full simulation to 1e-9", True
         ) and (abs(p_fast - full.p_puri) <= 1e-9)

@@ -105,10 +105,10 @@ def test_purify_round_equals_dense(kept, sacrificed, f_op, eta, balanced):
     reference, oracle_leakage = oracle.bell_weights(out_ref)
     # compare the accepted (unnormalized) state: dividing by a small P_puri
     # would magnify the round-off differences between the paths
-    accepted = engine.weights * p_puri
+    accepted = np.asarray(engine.weights) * p_puri
     assert abs(p_puri - full.p_puri) <= TOL and abs(p_puri - p_ref) <= TOL
     assert leakage * full.p_puri <= TOL and oracle_leakage * p_ref <= TOL
-    assert _max_diff(accepted, package.weights * full.p_puri) <= TOL
+    assert _max_diff(accepted, np.asarray(package.weights) * full.p_puri) <= TOL
     assert _max_diff(accepted, reference * p_ref) <= TOL
 
 

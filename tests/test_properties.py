@@ -5,22 +5,35 @@
   the fidelity recurrences do not see the link length.
 - The end-to-end fidelity at every fixed (N1, N2) does not fall as the
   gate fidelity or the readout accuracy rises.
+- Every Bell-diagonal state the engine builds for a fidelity table or a
+  rate-fidelity curve is physical, and every P_puri lies in (0, 1].
+- Running ``chain``, ``sweep`` or ``purify`` twice in one process gives the
+  same bytes.
 
 Generation is derandomized so the suite is repeatable.
 """
+
+import contextlib
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrepsim import (
+    BellDiagonalState,
     CavityParams,
     ChainParams,
     GateNoiseParams,
     LinkParams,
     OperationTimings,
+    rate_fidelity_curve,
     rate_vs_distance,
 )
 from qrepsim.chain import chain_fidelity_table
+from qrepsim.cli import main
 from qrepsim.link import qc_zone_state
 from test_plan_search import designs, stations
 
@@ -100,3 +113,78 @@ def test_end_fidelity_does_not_fall_as_operations_improve(link, f_move, f_ops, e
     base = end_fidelities(f_lo, eta_lo)
     for better in (end_fidelities(f_hi, eta_lo), end_fidelities(f_lo, eta_hi)):
         assert all(b >= a - 1e-12 for a, b in zip(base, better))
+
+
+def _above_up_to_one(lo):
+    """Floats in (lo, 1], with 1.0 drawn as its own case."""
+    return st.one_of(st.just(1.0), st.floats(lo, 1.0, exclude_min=True))
+
+
+noises = st.builds(
+    GateNoiseParams, f_op=_above_up_to_one(0.25), eta_meas=_above_up_to_one(0.5)
+)
+
+
+@contextlib.contextmanager
+def _every_state():
+    """Collect the weights of every BellDiagonalState built inside the block."""
+    built = []
+    validate = BellDiagonalState.__post_init__
+
+    def record(state):
+        validate(state)
+        built.append(state.weights)
+
+    with mock.patch.object(BellDiagonalState, "__post_init__", record):
+        yield built
+
+
+@PROPERTY
+@given(
+    noise=noises,
+    f_tech=_above_up_to_one(0.25),
+    f_move=_above_up_to_one(0.25),
+    levels=st.integers(0, 5),
+    n_max=st.integers(0, 10),
+)
+def test_every_engine_state_is_physical(noise, f_tech, f_move, levels, n_max):
+    link = LinkParams(technical_fidelity=f_tech)
+    with _every_state() as built:
+        table = chain_fidelity_table(qc_zone_state(link, noise, f_move), levels, noise, n_max)
+        curve = rate_fidelity_curve(n_max, CavityParams(), link, noise, f_move=f_move)
+    # at least the zone state, every swap and post-swap round, and the curve's rounds
+    assert len(built) >= 1 + (n_max + 1) * (levels + n_max) + n_max
+    for weights in built:
+        assert len(weights) == 4 and all(0.0 <= w <= 1.0 for w in weights)
+        assert abs(math.fsum(weights) - 1.0) <= 1e-12
+    p_list = [*table.pre_swap_p, *(p for row in table.end_p for p in row)]
+    p_list += [result.p_puri for result in curve]
+    assert all(0.0 < p <= 1.0 for p in p_list)
+
+
+@settings(PROPERTY, max_examples=12)
+@given(
+    f_op=_up_to_one(0.9),
+    eta_meas=_up_to_one(0.9),
+    f_move=_up_to_one(0.9),
+    argv=st.one_of(
+        st.tuples(stations, lengths, st.booleans()).map(
+            lambda c: ["chain", "--stations", str(c[0]), "--distance-km", repr(c[1])]
+            + ["--fc"] * c[2]
+        ),
+        st.sampled_from([["sweep"], ["sweep", "--stations", "3,33", "--distances", "1:1000:7"]]),
+        st.integers(0, 10).map(lambda n: ["purify", "--n-max", str(n)]),
+    ),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_commands_repeat_their_bytes(f_op, eta_meas, f_move, argv, fmt):
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "run.cfg"
+        config.write_text(f"f_op = {f_op!r}\neta_meas = {eta_meas!r}\nf_move = {f_move!r}\n")
+        runs = []
+        for i in range(2):
+            out = Path(work) / f"{i}.{fmt}"
+            rc = main([*argv, "--config", str(config), "--format", fmt, "--out", str(out)])
+            runs.append((rc, out.read_bytes() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 2, 3)

@@ -78,7 +78,7 @@ def test_fast_path_equals_full_simulation():
         full_weights, leakage = to_bell_diagonal(full.output_state)
         assert leakage <= 1e-9
         assert p_fast == pytest.approx(full.p_puri, abs=1e-9)
-        assert np.max(np.abs(fast.weights - full_weights.weights)) <= 1e-9
+        assert np.max(np.abs(np.asarray(fast.weights) - full_weights.weights)) <= 1e-9
 
 
 def test_branch_symmetry_for_bell_diagonal_inputs():

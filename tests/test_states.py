@@ -189,6 +189,15 @@ def test_bell_diagonal_weight_validation():
         BellDiagonalState(np.array([0.5, 0.5, 0.5, 0.5]))
 
 
+@pytest.mark.parametrize(
+    "weights", [[np.nan, 0.0, 1.0, 0.0], (0.0, 0.0, 1.0, np.nan), [np.nan] * 4]
+)
+def test_bell_diagonal_rejects_nan(weights):
+    # every comparison with NaN is false, so neither the range nor the sum check sees it
+    with pytest.raises(ValueError, match=r"^Bell weights must be finite$"):
+        BellDiagonalState(weights)
+
+
 def test_expand_operator_matches_kron():
     # CNOT on adjacent qubits equals the plain kron embedding
     assert np.allclose(expand_operator(CNOT, 3, (0, 1)), np.kron(CNOT, np.eye(2)))
