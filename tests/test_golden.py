@@ -12,8 +12,40 @@ from pathlib import Path
 import pytest
 
 from qrepsim.cli import main
+from qrepsim.config import Config, parse_config
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# every config key, each set away from its default
+EVERY_KEY = (
+    "g_mhz = 7.8\n"
+    "kappa_mhz = 4.2\n"
+    "kappa0_mhz = 0.25\n"
+    "gamma_mhz = 2.9\n"
+    "length_km = 0.2\n"
+    "fiber_db_per_km = 2.5\n"
+    "fiber_db_per_km_fc = 0.2\n"
+    "circulator_loss_db = 0.8\n"
+    "n_circulators = 3\n"
+    "detector_efficiency = 0.8\n"
+    "eta_fc = 0.65\n"
+    "fiber_index = 1.46\n"
+    "pulse_factor = 18.0\n"
+    "technical_fidelity = 0.97\n"
+    "herald_mode = pipelined\n"
+    "esta_convention = table\n"
+    "cz_accounting = per_cavity\n"
+    "f_op = 0.998\n"
+    "eta_meas = 0.992\n"
+    "f_move = 0.97\n"
+    "t_swap_us = 2.5\n"
+    "t_move_us = 25.0\n"
+    "t_proj_us = 180.0\n"
+    "p_move = 0.85\n"
+    "move_accounting = explicit\n"
+    "parallel_links = 2\n"
+    "fidelity_target = 0.985\n"
+)
 
 # name -> (argv, config file text, exit code)
 CASES = {
@@ -36,6 +68,10 @@ CASES = {
         3,
     ),
     "sweep": (["sweep"], "", 0),
+    "link_every_key": (["link"], EVERY_KEY, 0),
+    "chain_every_key": (
+        ["chain", "--stations", "5", "--distance-km", "25", "--fc"], EVERY_KEY, 0
+    ),
 }
 FORMATS = ("csv", "json")
 
@@ -47,6 +83,12 @@ def _run(name: str, fmt: str, workdir: Path) -> tuple[int, bytes]:
     out = workdir / f"{name}.{fmt}"
     rc = main([*argv, "--config", str(config), "--format", fmt, "--out", str(out)])
     return rc, out.read_bytes()
+
+
+def test_every_key_case_sets_every_key_away_from_its_default():
+    config, default = parse_config(EVERY_KEY), Config()
+    assert all(getattr(config, key) != getattr(default, key) for key in vars(default))
+    assert len(EVERY_KEY.splitlines()) == len(vars(default))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
