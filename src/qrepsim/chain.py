@@ -280,7 +280,6 @@ def optimize_plan(
     link_template: LinkParams,
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
-    f_move: float = 0.96,
     n_max: int = 8,
     table: ChainFidelityTable | None = None,
 ) -> ChainPlan:
@@ -300,7 +299,7 @@ def optimize_plan(
     )[chain.n_swap_levels]
     if table is None:
         table = chain_fidelity_table(
-            qc_zone_state(link_template, noise, f_move), chain.n_swap_levels, noise, n_max
+            qc_zone_state(link_template, noise), chain.n_swap_levels, noise, n_max
         )
     return _search(rows, chain.fidelity_target, timings_template, table, n_max)[0]
 
@@ -314,7 +313,6 @@ def rate_vs_distance(
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
     fidelity_target: float = 0.99,
-    f_move: float = 0.96,
     n_max: int = 8,
 ) -> list[ChainPlan]:
     """Optimized plans over a (distance, station count, FC) grid.
@@ -326,7 +324,7 @@ def rate_vs_distance(
     count is validated once, before the tables, and every row in row order
     before any search.
     """
-    initial = qc_zone_state(link_template, noise, f_move)
+    initial = qc_zone_state(link_template, noise)
     chains = {m_stations: ChainParams(m_stations, 1.0) for m_stations in stations}
     levels = {chain.n_swap_levels for chain in chains.values()}
     tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}

@@ -4,8 +4,8 @@ Output is deterministic CSV (or JSON with --format json) with the fully
 resolved configuration echoed in the header, so every emitted number is
 reproducible from the file alone. Floats carry 9 significant digits.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible fidelity target
-(single-point chain command only).
+Exit codes: 0 success, 2 configuration error or unwritable output file,
+3 infeasible fidelity target (single-point chain command only).
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import sys
 
 import numpy as np
 
-from . import config as cfgmod
 from .chain import ChainParams, optimize_plan, rate_vs_distance
-from .config import Config, ConfigError, load_config
+from .config import Config, ConfigError, load_config, records
 from .link import link_budget
 from .noise import IDEAL_OPS
 # purify_n_rounds: unused, but bench/test_spans.py checks it is bound here
@@ -43,11 +42,7 @@ _CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".
 
 
 def _config_echo(config: Config) -> list[str]:
-    from dataclasses import fields
-
-    return [
-        f"# {f.name} = {_format_value(getattr(config, f.name))}" for f in fields(config)
-    ]
+    return [f"# {key} = {_format_value(value)}" for key, value in vars(config).items()]
 
 
 def emit(out, fmt: str, columns, rows, config: Config) -> None:
@@ -61,10 +56,8 @@ def emit(out, fmt: str, columns, rows, config: Config) -> None:
             lines.append(",".join([cell(type(v), _format_value)(v) for v in values]))
         text = "\n".join(lines) + "\n"
     else:
-        from dataclasses import fields
-
         payload = {
-            "config": {f.name: getattr(config, f.name) for f in fields(Config)},
+            "config": vars(config),
             "columns": list(columns),
             "rows": [
                 {
@@ -81,13 +74,17 @@ def emit(out, fmt: str, columns, rows, config: Config) -> None:
         text = json.dumps(payload, indent=2) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {out!r}: {exc.strerror}") from exc
 
 
 def cmd_link(config: Config, args) -> int:
-    budget = link_budget(cfgmod.cavity_params(config), cfgmod.link_params(config))
+    cavity, link, _, _ = records(config)
+    budget = link_budget(cavity, link)
     row = {
         "r_uncoupled": budget.r_uncoupled.real,
         "r_coupled": budget.r_coupled.real,
@@ -103,9 +100,7 @@ def cmd_link(config: Config, args) -> int:
 
 
 def cmd_purify(config: Config, args) -> int:
-    cavity = cfgmod.cavity_params(config)
-    link = cfgmod.link_params(config)
-    noisy = cfgmod.noise_params(config)
+    cavity, link, noisy, timings = records(config)
     rows = []
     for ops_label, noise in (("noisy", noisy), ("ideal", IDEAL_OPS)):
         for f0 in (0.91, 0.8):
@@ -114,9 +109,8 @@ def cmd_purify(config: Config, args) -> int:
                 cavity,
                 link,
                 noise,
-                timings=cfgmod.timings(config),
+                timings,
                 initial_state=BellDiagonalState.werner(f0),
-                f_move=config.f_move,
             )
             for result in curve:
                 rows.append(
@@ -157,14 +151,7 @@ def cmd_chain(config: Config, args) -> int:
         fidelity_target=target,
         fc_enabled=args.fc,
     )
-    plan = optimize_plan(
-        chain,
-        cfgmod.cavity_params(config),
-        cfgmod.link_params(config),
-        cfgmod.noise_params(config),
-        cfgmod.timings(config),
-        f_move=config.f_move,
-    )
+    plan = optimize_plan(chain, *records(config))
     row = _plan_row(plan)
     emit(args.out, args.format, list(row), [row], config)
     return 0 if plan.feasible else 3
@@ -208,12 +195,8 @@ def cmd_sweep(config: Config, args) -> int:
         list(dict.fromkeys(_parse_distances(args.distances))),
         stations,
         fc_modes,
-        cfgmod.cavity_params(config),
-        cfgmod.link_params(config),
-        cfgmod.noise_params(config),
-        cfgmod.timings(config),
+        *records(config),
         fidelity_target=config.fidelity_target,
-        f_move=config.f_move,
     )
     rows = [_plan_row(p) for p in plans]
     emit(args.out, args.format, list(rows[0]), rows, config)

@@ -4,6 +4,9 @@ The file format is one ``key = value`` per line with ``#`` comments. Every
 key has a default, so an empty file is a valid configuration. Rate-like
 entries are in 2*pi MHz, durations in microseconds, distances in km and
 losses in dB.
+Each key but ``fidelity_target`` is the field of that name of one parameter
+record, with the same default; ``records`` fills the records, which check
+the ranges.
 """
 
 from __future__ import annotations
@@ -110,55 +113,20 @@ def validate_config(config: Config) -> None:
     """Re-run every module-level invariant on the resolved values."""
     try:
         check_finite(config)
-        cavity_params(config)
-        link_params(config)
-        noise_params(config)
-        timings(config)
+        records(config)
         if not 0 <= config.fidelity_target < 1:
             raise ValueError("fidelity_target must lie in [0, 1)")
-        if not 0.25 < config.f_move <= 1:
-            raise ValueError("f_move must lie in (0.25, 1]")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def cavity_params(config: Config) -> CavityParams:
-    return CavityParams(
-        g_mhz=config.g_mhz,
-        kappa_mhz=config.kappa_mhz,
-        kappa0_mhz=config.kappa0_mhz,
-        gamma_mhz=config.gamma_mhz,
-    )
+def records(config: Config) -> tuple[CavityParams, LinkParams, GateNoiseParams, OperationTimings]:
+    """The parameter records, each field set from the config key of its name.
 
-
-def link_params(config: Config) -> LinkParams:
-    return LinkParams(
-        length_km=config.length_km,
-        attenuation_db_per_km=config.fiber_db_per_km,
-        attenuation_db_per_km_fc=config.fiber_db_per_km_fc,
-        circulator_loss_db=config.circulator_loss_db,
-        n_circulators=config.n_circulators,
-        detector_efficiency=config.detector_efficiency,
-        eta_fc=config.eta_fc,
-        fiber_index=config.fiber_index,
-        pulse_factor=config.pulse_factor,
-        technical_fidelity=config.technical_fidelity,
-        herald_mode=config.herald_mode,
-        esta_convention=config.esta_convention,
-        cz_accounting=config.cz_accounting,
-    )
-
-
-def noise_params(config: Config) -> GateNoiseParams:
-    return GateNoiseParams(f_op=config.f_op, eta_meas=config.eta_meas)
-
-
-def timings(config: Config) -> OperationTimings:
-    return OperationTimings(
-        t_swap_us=config.t_swap_us,
-        t_move_us=config.t_move_us,
-        t_proj_us=config.t_proj_us,
-        p_move=config.p_move,
-        move_accounting=config.move_accounting,
-        parallel_links=config.parallel_links,
+    ``LinkParams.fc_enabled`` is no config key; it keeps its default.
+    """
+    keys = vars(config)
+    return tuple(
+        record(**{f.name: keys[f.name] for f in fields(record) if f.name in keys})
+        for record in (CavityParams, LinkParams, GateNoiseParams, OperationTimings)
     )

@@ -16,7 +16,9 @@ the expected e-bit preparation time is one attempt duration divided by it
 (serial mode) or, in pipelined mode, only the pulse time is retried while
 the flight time is paid once. The link length is an argument of the loss
 and timing functions; ``link_budget`` uses the configured length and
-rejects a T_esta that overflows to infinity.
+rejects a T_esta that overflows to infinity. The zone state reads the gate
+and transport fidelities from ``GateNoiseParams``. The record fields carry
+the names of their configuration keys.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class LinkParams:
     """Fiber, loss, detection and heralding conventions for one link."""
 
     length_km: float = 0.1
-    attenuation_db_per_km: float = 3.0       # 780 nm
-    attenuation_db_per_km_fc: float = 0.19   # 1550 nm after frequency conversion
+    fiber_db_per_km: float = 3.0       # 780 nm
+    fiber_db_per_km_fc: float = 0.19   # 1550 nm after frequency conversion
     circulator_loss_db: float = 1.0
     n_circulators: int = 2
     detector_efficiency: float = 0.75
@@ -85,7 +87,7 @@ class LinkParams:
         check_finite(self)
         if self.length_km <= 0:
             raise ValueError("length_km must be positive")
-        if self.attenuation_db_per_km < 0 or self.attenuation_db_per_km_fc < 0:
+        if self.fiber_db_per_km < 0 or self.fiber_db_per_km_fc < 0:
             raise ValueError("fiber attenuation must be nonnegative")
         if self.circulator_loss_db < 0:
             raise ValueError("circulator loss must be nonnegative")
@@ -107,10 +109,6 @@ class LinkParams:
             raise ValueError(f"esta_convention must be one of {ESTA_CONVENTIONS}")
         if self.cz_accounting not in CZ_ACCOUNTINGS:
             raise ValueError(f"cz_accounting must be one of {CZ_ACCOUNTINGS}")
-
-    @property
-    def active_attenuation_db_per_km(self) -> float:
-        return self.attenuation_db_per_km_fc if self.fc_enabled else self.attenuation_db_per_km
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def reflection_amplitude(p: CavityParams, atom_coupled: bool) -> complex:
 
 def link_transmission(lp: LinkParams, length_km: float) -> float:
     """Transmission over length_km: fiber, circulators, detector, FC."""
-    db = lp.active_attenuation_db_per_km * length_km
+    db = (lp.fiber_db_per_km_fc if lp.fc_enabled else lp.fiber_db_per_km) * length_km
     db += lp.n_circulators * lp.circulator_loss_db
     eta = 10.0 ** (-db / 10.0) * lp.detector_efficiency
     if lp.fc_enabled:
@@ -191,19 +189,15 @@ def heralded_state(lp: LinkParams) -> BellDiagonalState:
     return BellDiagonalState.werner(lp.technical_fidelity)
 
 
-def qc_zone_state(
-    lp: LinkParams, noise: GateNoiseParams, f_move: float = 0.96
-) -> BellDiagonalState:
+def qc_zone_state(lp: LinkParams, noise: GateNoiseParams) -> BellDiagonalState:
     """Bell weights of the e-bit as delivered to the computation zone.
 
     Heralded pair -> noisy three-CNOT swap onto a fresh shuttle qubit ->
     depolarizing transport of the shuttle. Each CNOT fails to I/4 on the pair
     with probability 1 - f_op, and transport replaces the shuttle by I/2 with
-    probability p = 4 (1 - f_move) / 3, so Werner in gives Werner out.
+    probability p = 4 (1 - noise.f_move) / 3, so Werner in gives Werner out.
     """
-    if not 0.25 < f_move <= 1.0:
-        raise ValueError(f"f_move {f_move} outside (0.25, 1]")
-    p = 4.0 * (1.0 - f_move) / 3.0
+    p = 4.0 * (1.0 - noise.f_move) / 3.0
     f3 = noise.f_op**3
     swapped = f3 * heralded_state(lp).fidelity + (1.0 - f3) / 4.0
     return BellDiagonalState.werner((1.0 - p) * swapped + p / 4.0)

@@ -4,11 +4,13 @@ Imperfect two-qubit gates are Werner-style: with probability ``f_op`` the
 gate acts ideally, otherwise the gate pair is replaced by the two-qubit
 maximally mixed state (the rest of the register keeps its marginal).
 Measurement error is a classical outcome flip with probability
-``1 - eta_meas``. Both choices are the simplest CPTP models consistent with
-a single-number error description. The engine applies them to Bell
-weights in closed form; the Kraus channels here are the dense reference it
-is tested against, and no command runs them. The closed forms hold for these
-two models only: a different model would have to run on the dense path.
+``1 - eta_meas``. Transport depolarizes the moved qubit so that a perfect
+e-bit arrives at fidelity ``f_move``. ``GateNoiseParams`` holds all three
+numbers. These choices are the simplest CPTP models consistent with a
+single-number error description. The engine applies them to Bell weights in
+closed form; the Kraus channels here are the dense reference it is tested
+against, and no command runs them. The closed forms hold for these models
+only: a different model would have to run on the dense path.
 """
 
 from __future__ import annotations
@@ -38,18 +40,22 @@ DEGENERATE_PROBABILITY = 1e-15
 
 @dataclass(frozen=True)
 class GateNoiseParams:
-    """Two-qubit gate fidelity and measurement accuracy."""
+    """Atom-operation errors: gate fidelity, readout accuracy, transport fidelity."""
 
     f_op: float = 0.995
     eta_meas: float = 0.99
+    f_move: float = 0.96
 
     def __post_init__(self):
         if not 0.25 < self.f_op <= 1.0:
             raise ValueError(f"f_op {self.f_op} outside (0.25, 1]")
         if not 0.5 < self.eta_meas <= 1.0:
             raise ValueError(f"eta_meas {self.eta_meas} outside (0.5, 1]")
+        if not 0.25 < self.f_move <= 1.0:
+            raise ValueError(f"f_move {self.f_move} outside (0.25, 1]")
 
 
+# f_move keeps its default: ideal operations only run on given (Werner) inputs
 IDEAL_OPS = GateNoiseParams(f_op=1.0, eta_meas=1.0)
 
 

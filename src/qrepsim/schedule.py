@@ -124,7 +124,6 @@ def rate_fidelity_curve(
     noise: GateNoiseParams,
     timings: OperationTimings = OperationTimings(),
     initial_state: BellDiagonalState | None = None,
-    f_move: float = 0.96,
 ) -> list[ScheduleResult]:
     """Fidelity and effective rate versus purification rounds N = 0..n_max.
 
@@ -138,7 +137,7 @@ def rate_fidelity_curve(
     _, t_esta_us = expected_esta(cavity, link, link.length_km)
     check_positive("t_esta_us", t_esta_us)  # before the ladder runs
     if initial_state is None:
-        initial_state = qc_zone_state(link, noise, f_move)
+        initial_state = qc_zone_state(link, noise)
     states, p_list = purify_ladder_weights(initial_state, n_max, noise)
     curve = [
         t_eg(n, timings, t_esta_us, link.length_km, p_list, final_fidelity=states[n].fidelity)

@@ -32,15 +32,13 @@ class BellBranch:
     probability: float
 
 
-def qc_zone_state(
-    lp: LinkParams, noise: GateNoiseParams, f_move: float = 0.96
-) -> DensityMatrix:
+def qc_zone_state(lp: LinkParams, noise: GateNoiseParams) -> DensityMatrix:
     """Heralded pair -> noisy three-CNOT swap onto a fresh shuttle -> transport."""
     pair = werner(lp.technical_fidelity)
     with_shuttle = tensor(pair, computational_state("0"))
     swapped = swap_gate(with_shuttle, 1, 2, noise)
     moved_pair = partial_trace(swapped, keep=(0, 2))
-    return transport_channel(moved_pair, 1, f_move)
+    return transport_channel(moved_pair, 1, noise.f_move)
 
 
 def bell_measurement(

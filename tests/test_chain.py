@@ -212,7 +212,7 @@ def test_lossless_link_success_independent_of_length():
     from qrepsim import expected_esta, herald_success
 
     lossless = LinkParams(
-        attenuation_db_per_km=0.0, herald_mode="pipelined", length_km=1.0
+        fiber_db_per_km=0.0, herald_mode="pipelined", length_km=1.0
     )
     p1 = herald_success(CavityParams(), lossless, 1.0)
     p2 = herald_success(CavityParams(), lossless, 100.0)

@@ -1,9 +1,23 @@
 import json
+from dataclasses import fields
 
 import pytest
 
-from qrepsim import Config, ConfigError, parse_config
+from qrepsim import (
+    CavityParams,
+    ChainParams,
+    Config,
+    ConfigError,
+    GateNoiseParams,
+    LinkParams,
+    OperationTimings,
+    parse_config,
+)
 from qrepsim.cli import main
+from qrepsim.config import records
+from test_golden import EVERY_KEY
+
+RECORDS = (CavityParams, LinkParams, GateNoiseParams, OperationTimings)
 
 
 def test_empty_config_gives_defaults():
@@ -58,6 +72,28 @@ def test_config_validates_cavity_invariant():
 def test_config_validates_mode_names():
     with pytest.raises(ConfigError, match="herald_mode"):
         parse_config("herald_mode = batched")
+
+
+def test_config_keys_are_the_record_fields():
+    names = [f.name for record in RECORDS for f in fields(record) if f.name != "fc_enabled"]
+    assert len(names) == len(set(names))
+    assert set(names) | {"fidelity_target"} == {f.name for f in fields(Config)}
+    assert records(Config()) == tuple(record() for record in RECORDS)
+    assert ChainParams(5, 1.0).fidelity_target == Config().fidelity_target
+
+
+def test_records_take_every_key_from_the_config():
+    config = parse_config(EVERY_KEY)
+    for record in records(config):
+        for f in fields(record):
+            if f.name != "fc_enabled":
+                assert getattr(record, f.name) == getattr(config, f.name)
+
+
+def test_config_reports_f_move_with_the_noise_record():
+    # a bad transport fidelity is found before a bad timing
+    with pytest.raises(ConfigError, match=r"^f_move 0.2 outside \(0.25, 1\]$"):
+        parse_config("t_swap_us = -1\nf_move = 0.2\n")
 
 
 def test_cli_link_defaults(tmp_path, capsys):
@@ -295,3 +331,19 @@ def test_cli_purify_keeps_the_largest_finite_rows(tmp_path, capsys):
     assert main(["purify", "--n-max", "10", "--config", str(cfg)]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
     assert len(rows) == 1 + 44
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv", [["link"], ["chain", "--stations", "3", "--distance-km", "25"]]
+)
+@pytest.mark.parametrize(
+    "target, reason",
+    [("missing/out.txt", "No such file or directory"), (".", "Is a directory")],
+)
+def test_cli_unwritable_out_exits_2(tmp_path, capsys, fmt, argv, target, reason):
+    out = str(tmp_path / target)
+    assert main([*argv, "--format", fmt, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write output file {out!r}: {reason}\n"
+    assert captured.out == ""

@@ -56,9 +56,9 @@ def _max_diff(a, b) -> float:
 @given(f_tech=_up_to_one(0.25), f_op=f_ops, f_move=_up_to_one(0.25))
 def test_zone_state_equals_dense(f_tech, f_op, f_move):
     lp = LinkParams(technical_fidelity=f_tech)
-    noise = GateNoiseParams(f_op=f_op)
-    engine = qc_zone_state(lp, noise, f_move).weights
-    package, leakage = to_bell_diagonal(dense.qc_zone_state(lp, noise, f_move))
+    noise = GateNoiseParams(f_op=f_op, f_move=f_move)
+    engine = qc_zone_state(lp, noise).weights
+    package, leakage = to_bell_diagonal(dense.qc_zone_state(lp, noise))
     reference, oracle_leakage = oracle.bell_weights(oracle.qc_zone_state(f_tech, f_op, f_move))
     assert leakage <= TOL and oracle_leakage <= TOL
     assert _max_diff(engine, package.weights) <= TOL

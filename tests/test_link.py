@@ -63,7 +63,7 @@ def test_link_transmission_default():
 def test_link_transmission_lossless():
     lp = LinkParams(
         length_km=1e-9,
-        attenuation_db_per_km=0.0,
+        fiber_db_per_km=0.0,
         circulator_loss_db=0.0,
         detector_efficiency=1.0,
     )
@@ -71,8 +71,8 @@ def test_link_transmission_lossless():
 
 
 def test_link_transmission_fc_factor():
-    base = link_transmission(LinkParams(attenuation_db_per_km_fc=3.0), 0.1)
-    with_fc = link_transmission(LinkParams(fc_enabled=True, attenuation_db_per_km_fc=3.0), 0.1)
+    base = link_transmission(LinkParams(fiber_db_per_km_fc=3.0), 0.1)
+    with_fc = link_transmission(LinkParams(fc_enabled=True, fiber_db_per_km_fc=3.0), 0.1)
     assert with_fc == pytest.approx(base * 0.36, abs=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_herald_success_perfect_limit():
     p = CavityParams(g_mhz=1e5, kappa0_mhz=1e-9)
     lp = LinkParams(
         length_km=1e-9,
-        attenuation_db_per_km=0.0,
+        fiber_db_per_km=0.0,
         circulator_loss_db=0.0,
         detector_efficiency=1.0,
     )
@@ -92,9 +92,9 @@ def test_herald_success_perfect_limit():
 
 
 def test_herald_success_with_fc():
-    p_base = herald_success(CavityParams(), LinkParams(attenuation_db_per_km_fc=3.0), 0.1)
+    p_base = herald_success(CavityParams(), LinkParams(fiber_db_per_km_fc=3.0), 0.1)
     p_fc = herald_success(
-        CavityParams(), LinkParams(fc_enabled=True, attenuation_db_per_km_fc=3.0), 0.1
+        CavityParams(), LinkParams(fc_enabled=True, fiber_db_per_km_fc=3.0), 0.1
     )
     assert p_fc == pytest.approx(p_base * 0.36, abs=1e-12)
 
@@ -109,7 +109,7 @@ def test_cz_accounting_option():
 def test_herald_monotonicity():
     base = herald_success(CavityParams(), LinkParams(), 0.1)
     assert herald_success(CavityParams(), LinkParams(), 0.2) < base
-    assert herald_success(CavityParams(), LinkParams(attenuation_db_per_km=4.0), 0.1) < base
+    assert herald_success(CavityParams(), LinkParams(fiber_db_per_km=4.0), 0.1) < base
     assert herald_success(CavityParams(), LinkParams(circulator_loss_db=2.0), 0.1) < base
     assert herald_success(CavityParams(), LinkParams(detector_efficiency=0.9), 0.1) > base
 
@@ -136,7 +136,7 @@ def test_expected_esta_short_perfect_limit():
     p = CavityParams(g_mhz=1e5, kappa0_mhz=1e-9)
     lp = LinkParams(
         length_km=1e-12,
-        attenuation_db_per_km=0.0,
+        fiber_db_per_km=0.0,
         circulator_loss_db=0.0,
         detector_efficiency=1.0,
     )

@@ -36,7 +36,7 @@ from qrepsim.chain import ChainFidelityTable, chain_fidelity_table
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 OVERFLOW = (ValueError, "t_qr_us must be finite, got inf")
 SRC = Path(__file__).resolve().parents[1] / "src"
-DEFAULTS = (LinkParams(), GateNoiseParams(), OperationTimings(), 0.96)
+DEFAULTS = (LinkParams(), GateNoiseParams(), OperationTimings())
 
 stations = st.sampled_from([2, 3, 5, 9, 17, 33])
 # up to 1012 km: past the T_QR overflow of M = 2 without FC, short of the link budget's own
@@ -69,14 +69,14 @@ def designs(draw):
         move_accounting=draw(st.sampled_from(["averaged", "explicit"])),
         parallel_links=draw(st.integers(1, 4)),
     )
-    return link, noise, timings, draw(st.floats(0.9, 1.0))
+    return link, replace(noise, f_move=draw(st.floats(0.9, 1.0))), timings
 
 
-def _target(spec, link, noise, f_move, m_stations, n_max):
+def _target(spec, link, noise, m_stations, n_max):
     if not isinstance(spec, tuple):
         return spec
     table = chain_fidelity_table(
-        qc_zone_state(link, noise, f_move), ChainParams(m_stations, 1.0).n_swap_levels, noise, n_max
+        qc_zone_state(link, noise), ChainParams(m_stations, 1.0).n_swap_levels, noise, n_max
     )
     cells = sorted(f for row in table.end_fidelities[: n_max + 1] for f in row[: n_max + 1])
     return cells[spec[1] % len(cells)]
@@ -122,10 +122,10 @@ def _observed(outcome):
 @example(DEFAULTS, [1010.0, 1000.0, 1010.0], [2, 5], (True, False), 0.99, 8)
 @example(DEFAULTS, [1000.0, 1000.0], [2, 2], (False,), 0.99, 8)
 def test_rate_vs_distance_equals_scalar_search(design, distances, station_list, fc, target, n_max):
-    link, noise, timings, f_move = design
-    target = _target(target, link, noise, f_move, station_list[0], n_max)
+    link, noise, timings = design
+    target = _target(target, link, noise, station_list[0], n_max)
     args = (distances, station_list, fc, CavityParams(), link, noise, timings)
-    kwargs = dict(fidelity_target=target, f_move=f_move, n_max=n_max)
+    kwargs = dict(fidelity_target=target, n_max=n_max)
     reference = _outcome(scalar_search.rate_vs_distance, *args, **kwargs)
     assert _observed(_outcome(rate_vs_distance, *args, **kwargs)) == _expected(reference)
 
@@ -164,11 +164,11 @@ TIMES = ("t_qr_us", "rate_hz")
 def test_rate_vs_distance_raises_the_first_failing_rows_error(
     design, distances, numpy_lengths, station_list, fc, target, n_max
 ):
-    link, noise, timings, f_move = design
+    link, noise, timings = design
     if numpy_lengths:
         distances = [np.float64(d) for d in distances]
     args = (distances, station_list, fc, CavityParams(), link, noise, timings)
-    kwargs = dict(fidelity_target=target, f_move=f_move, n_max=n_max)
+    kwargs = dict(fidelity_target=target, n_max=n_max)
     # the reference's own numpy overflow warnings; the package must raise none
     with np.errstate(over="ignore", divide="ignore"):
         expected = _expected(_outcome(scalar_search.rate_vs_distance, *args, **kwargs))
@@ -196,8 +196,8 @@ def test_rate_vs_distance_raises_the_first_failing_rows_error(
 def test_optimize_plan_equals_scalar_search(
     design, length, m_stations, fc, target, n_max, shared_table
 ):
-    link, noise, timings, f_move = design
-    target = _target(target, link, noise, f_move, m_stations, n_max)
+    link, noise, timings = design
+    target = _target(target, link, noise, m_stations, n_max)
     chain = _outcome(ChainParams, m_stations, length, fidelity_target=target, fc_enabled=fc)
     if isinstance(chain, tuple):
         return  # a target of 1.0 is rejected before any search
@@ -205,10 +205,10 @@ def test_optimize_plan_equals_scalar_search(
     table = None
     if shared_table:
         link_km = chain.total_length_km / (chain.m_stations - 1)
-        zone = qc_zone_state(replace(link, length_km=link_km, fc_enabled=fc), noise, f_move)
+        zone = qc_zone_state(replace(link, length_km=link_km, fc_enabled=fc), noise)
         table = chain_fidelity_table(zone, chain.n_swap_levels, noise, 8)
     args = (chain, CavityParams(), link, noise, timings)
-    kwargs = dict(f_move=f_move, n_max=n_max, table=table)
+    kwargs = dict(n_max=n_max, table=table)
     reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
     assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
 

@@ -3,6 +3,8 @@
 - The optimal rate of a (station count, FC) row never rises with distance,
   and whether its fidelity target is reachable does not depend on distance:
   the fidelity recurrences do not see the link length.
+- Every (N1, N2) cell's T_QR, by the scalar search's formula, does not fall
+  as the distance grows.
 - The end-to-end fidelity at every fixed (N1, N2) does not fall as the
   gate fidelity or the readout accuracy rises.
 - Every Bell-diagonal state the engine builds for a fidelity table or a
@@ -16,12 +18,14 @@ Generation is derandomized so the suite is repeatable.
 import contextlib
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalar_search
 from qrepsim import (
     BellDiagonalState,
     CavityParams,
@@ -34,7 +38,7 @@ from qrepsim import (
 )
 from qrepsim.chain import chain_fidelity_table
 from qrepsim.cli import main
-from qrepsim.link import qc_zone_state
+from qrepsim.link import expected_esta, qc_zone_state
 from test_plan_search import designs, stations
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -48,9 +52,9 @@ targets = st.one_of(st.sampled_from([0.9, 0.99, 0.995]), st.floats(0.9, 0.9999))
 
 def _sweep(distances, m_stations, fc, design, target):
     """(feasible, rate_hz) of each row; an overflowing T_QR is unreachable: feasible, rate 0."""
-    link, noise, timings, f_move = design
+    link, noise, timings = design
     args = ([m_stations], (fc,), CavityParams(), link, noise, timings)
-    kwargs = dict(fidelity_target=target, f_move=f_move)
+    kwargs = dict(fidelity_target=target)
     try:
         return [(p.feasible, p.rate_hz) for p in rate_vs_distance(distances, *args, **kwargs)]
     except ValueError as exc:
@@ -72,9 +76,8 @@ def _sweep(distances, m_stations, fc, design, target):
 @example(
     (
         LinkParams(cz_accounting="per_cavity", technical_fidelity=0.9),
-        GateNoiseParams(f_op=1.0, eta_meas=0.95),
+        GateNoiseParams(f_op=1.0, eta_meas=0.95, f_move=0.9),
         OperationTimings(),
-        0.9,
     ),
     [1000.0, 500.0],
     2,
@@ -86,6 +89,30 @@ def test_optimal_rate_never_rises_with_distance(design, distances, m_stations, f
     assert len({feasible for feasible, _ in rows}) == 1
     rates = [rate for _, rate in rows]
     assert all(far <= near for near, far in zip(rates, rates[1:]))
+
+
+def _t_qr_cells(design, m_stations, fc, length_km, table):
+    link, _, timings = design
+    chain = ChainParams(m_stations, length_km, fc_enabled=fc)
+    link = replace(link, length_km=length_km / (m_stations - 1), fc_enabled=fc)
+    _, t_esta_us = expected_esta(CavityParams(), link, link.length_km)
+    return scalar_search.t_qr_cells(chain, link.length_km, t_esta_us, timings, table)
+
+
+@PROPERTY
+@given(
+    design=designs(),
+    m_stations=stations,
+    fc=st.booleans(),
+    distances=st.lists(lengths, min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_every_t_qr_cell_is_non_decreasing_in_distance(design, m_stations, fc, distances):
+    link, noise, _ = design
+    levels = ChainParams(m_stations, 1.0).n_swap_levels
+    table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise)
+    near, far = (_t_qr_cells(design, m_stations, fc, d, table) for d in distances)
+    assert len(near) == 81
+    assert all(far[cell] >= t_qr for cell, t_qr in near.items())
 
 
 def _up_to_one(lo):
@@ -106,8 +133,8 @@ def test_end_fidelity_does_not_fall_as_operations_improve(link, f_move, f_ops, e
     eta_lo, eta_hi = sorted(etas)
 
     def end_fidelities(f_op, eta_meas):
-        noise = GateNoiseParams(f_op=f_op, eta_meas=eta_meas)
-        table = chain_fidelity_table(qc_zone_state(link, noise, f_move), levels, noise)
+        noise = GateNoiseParams(f_op=f_op, eta_meas=eta_meas, f_move=f_move)
+        table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise)
         return [f for row in table.end_fidelities for f in row]
 
     base = end_fidelities(f_lo, eta_lo)
@@ -149,9 +176,10 @@ def _every_state():
 )
 def test_every_engine_state_is_physical(noise, f_tech, f_move, levels, n_max):
     link = LinkParams(technical_fidelity=f_tech)
+    noise = replace(noise, f_move=f_move)
     with _every_state() as built:
-        table = chain_fidelity_table(qc_zone_state(link, noise, f_move), levels, noise, n_max)
-        curve = rate_fidelity_curve(n_max, CavityParams(), link, noise, f_move=f_move)
+        table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise, n_max)
+        curve = rate_fidelity_curve(n_max, CavityParams(), link, noise)
     # at least the zone state, every swap and post-swap round, and the curve's rounds
     assert len(built) >= 1 + (n_max + 1) * (levels + n_max) + n_max
     for weights in built:
