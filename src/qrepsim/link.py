@@ -16,9 +16,8 @@ the expected e-bit preparation time is one attempt duration divided by it
 (serial mode) or, in pipelined mode, only the pulse time is retried while
 the flight time is paid once. The link length is an argument of the loss
 and timing functions; ``link_budget`` uses the configured length and
-rejects a T_esta that overflows to infinity. The zone state reads the gate
-and transport fidelities from ``GateNoiseParams``. The record fields carry
-the names of their configuration keys.
+rejects a T_esta that overflows to infinity. The zone state takes f_op and
+f_move from ``GateNoiseParams``.
 """
 
 from __future__ import annotations
