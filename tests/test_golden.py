@@ -1,12 +1,17 @@
 """Golden CLI outputs: the current code must reproduce them byte for byte.
 
 The files under ``tests/golden/`` hold the CSV and JSON output of each case
-below. To record the files that do not exist yet, or again the named cases
-(only when an output change is intended):
+below, and ``cli_messages.json`` the exit code, stdout and stderr of each
+help and argument-error case in ``MESSAGE_CASES``. To record the files that
+do not exist yet, or again the named cases (only when an output change is
+intended; ``cli_messages`` names the message cases):
 
     PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -75,6 +80,31 @@ CASES = {
 }
 FORMATS = ("csv", "json")
 
+MESSAGES = "cli_messages"
+# argv of each help and argument-error case; the last one abbreviates valid options
+MESSAGE_CASES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "chain"],
+    ["bogus"],
+    ["link", "-h"],
+    ["purify", "-h"],
+    ["chain", "-h"],
+    ["sweep", "-h"],
+    ["chain"],
+    ["chain", "--stations", "3"],
+    ["chain", "--stations", "x", "--distance-km", "1"],
+    ["chain", "--stations", "3", "--distance-km", "nan"],
+    ["chain", "--stations", "3", "--distance-km", "10", "--bogus"],
+    ["link", "--bogus", "1"],
+    ["link", "extra"],
+    ["purify", "--n-max"],
+    ["sweep", "--fc", "maybe"],
+    ["link", "--format", "xml"],
+    ["chain", "--stat", "3", "--dist", "10"],
+]
+
 
 def _run(name: str, fmt: str, workdir: Path) -> tuple[int, bytes]:
     argv, config_text, _ = CASES[name]
@@ -83,6 +113,21 @@ def _run(name: str, fmt: str, workdir: Path) -> tuple[int, bytes]:
     out = workdir / f"{name}.{fmt}"
     rc = main([*argv, "--config", str(config), "--format", fmt, "--out", str(out)])
     return rc, out.read_bytes()
+
+
+def _message(argv) -> dict:
+    """Exit code, stdout and stderr of one in-process call; argparse exits by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(list(argv))
+        except SystemExit as stop:
+            rc = stop.code
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _messages() -> dict:
+    return {" ".join(["qrepsim", *argv]): _message(argv) for argv in MESSAGE_CASES}
 
 
 def test_every_key_case_sets_every_key_away_from_its_default():
@@ -99,19 +144,34 @@ def test_cli_matches_golden(name, fmt, tmp_path):
     assert produced == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("argv", MESSAGE_CASES, ids=" ".join)
+def test_cli_messages_match_golden(argv):
+    golden = json.loads((GOLDEN / f"{MESSAGES}.json").read_text(encoding="utf-8"))
+    assert _message(argv) == golden[" ".join(["qrepsim", *argv])]
+
+
 if __name__ == "__main__":
     import sys
     import tempfile
 
+    import conftest  # noqa: F401  (fixes the help width, as under pytest)
+
     names = sys.argv[1:]
-    unknown = [name for name in names if name not in CASES]
+    unknown = [name for name in names if name not in CASES and name != MESSAGES]
     if unknown:
-        raise SystemExit(f"unknown case {unknown[0]!r}, expected one of {sorted(CASES)}")
+        raise SystemExit(
+            f"unknown case {unknown[0]!r}, expected one of {sorted(CASES) + [MESSAGES]}"
+        )
     # named cases are recorded again; without names, only files that are missing
-    files = [(name, fmt) for name in names or CASES for fmt in FORMATS]
+    messages = GOLDEN / f"{MESSAGES}.json"
+    record_messages = MESSAGES in names if names else not messages.exists()
+    files = [(name, fmt) for name in names or CASES if name != MESSAGES for fmt in FORMATS]
     if not names:
         files = [(name, fmt) for name, fmt in files if not (GOLDEN / f"{name}.{fmt}").exists()]
     GOLDEN.mkdir(exist_ok=True)
+    if record_messages:
+        messages.write_text(json.dumps(_messages(), indent=2) + "\n", encoding="utf-8")
+        print(f"recorded {messages.name} ({len(MESSAGE_CASES)} cases)")
     with tempfile.TemporaryDirectory() as work:
         for name, fmt in files:
             rc, produced = _run(name, fmt, Path(work))
@@ -119,5 +179,5 @@ if __name__ == "__main__":
                 raise SystemExit(f"{name}: exit code {rc}, expected {CASES[name][2]}")
             (GOLDEN / f"{name}.{fmt}").write_bytes(produced)
             print(f"recorded {name}.{fmt} ({len(produced)} bytes)")
-    if not files:
+    if not files and not record_messages:
         print("every golden file exists; name the cases to record again")
