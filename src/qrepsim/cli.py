@@ -6,6 +6,9 @@ reproducible from the file alone. Floats carry 9 significant digits.
 
 Exit codes: 0 success, 2 configuration error or unwritable output file,
 3 infeasible fidelity target (single-point chain command only).
+
+``COMMANDS`` defines the subcommands. A call builds only its subcommand's
+parser; the full parser, built from the same table, serves -h and argument errors.
 """
 
 from __future__ import annotations
@@ -203,51 +206,63 @@ def cmd_sweep(config: Config, args) -> int:
     return 0
 
 
+def _chain_options(parser) -> None:
+    parser.add_argument("--stations", type=int, required=True)
+    parser.add_argument("--distance-km", type=_finite_float, required=True)
+    parser.add_argument("--fc", action="store_true", help="enable frequency conversion")
+    parser.add_argument("--target", type=_finite_float, default=None)
+
+
+def _sweep_options(parser) -> None:
+    parser.add_argument("--stations", default="2,5,17")
+    parser.add_argument("--distances", default="1:500:40,log")
+    parser.add_argument("--fc", choices=("both", "on", "off"), default="both")
+
+
+# name -> (handler, help line, function that adds the subcommand's own options)
+COMMANDS = {
+    "link": (cmd_link, "heralded-link budget at the configured length", lambda parser: None),
+    "purify": (
+        cmd_purify,
+        "fidelity/rate vs purification rounds",
+        lambda parser: parser.add_argument("--n-max", type=int, default=6),
+    ),
+    "chain": (cmd_chain, "optimized repeater-chain plan", _chain_options),
+    "sweep": (cmd_sweep, "rate vs distance/station grid", _sweep_options),
+}
+
+
+def _add_options(parser, add_own) -> argparse.ArgumentParser:
+    add_own(parser)  # then the options every subcommand shares
+    parser.add_argument("--config", default=None, help="flat key=value config file")
+    parser.add_argument("--out", default="-", help="output path, '-' for stdout")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrepsim",
         description="Quantum repeater link/purification/chain design calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_link = sub.add_parser("link", help="heralded-link budget at the configured length")
-    common(p_link)
-
-    p_puri = sub.add_parser("purify", help="fidelity/rate vs purification rounds")
-    p_puri.add_argument("--n-max", type=int, default=6)
-    common(p_puri)
-
-    p_chain = sub.add_parser("chain", help="optimized repeater-chain plan")
-    p_chain.add_argument("--stations", type=int, required=True)
-    p_chain.add_argument("--distance-km", type=_finite_float, required=True)
-    p_chain.add_argument("--fc", action="store_true", help="enable frequency conversion")
-    p_chain.add_argument("--target", type=_finite_float, default=None)
-    common(p_chain)
-
-    p_sweep = sub.add_parser("sweep", help="rate vs distance/station grid")
-    p_sweep.add_argument("--stations", default="2,5,17")
-    p_sweep.add_argument("--distances", default="1:500:40,log")
-    p_sweep.add_argument("--fc", choices=("both", "on", "off"), default="both")
-    common(p_sweep)
+    for name, (_, help_line, add_own) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_line), add_own)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {
-        "link": cmd_link,
-        "purify": cmd_purify,
-        "chain": cmd_chain,
-        "sweep": cmd_sweep,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in COMMANDS:  # parse with that subcommand's parser alone
+        parser = _add_options(argparse.ArgumentParser(prog=f"qrepsim {name}"), COMMANDS[name][2])
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if name not in COMMANDS or extra:
+        # no subcommand, -h, or arguments the subcommand does not know: help or error, exit
+        args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        return handlers[args.command](config, args)
+        return COMMANDS[args.command][0](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

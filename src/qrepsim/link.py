@@ -15,9 +15,9 @@ post-selected gate success into the fiber/circulator/detector budget, and
 the expected e-bit preparation time is one attempt duration divided by it
 (serial mode) or, in pipelined mode, only the pulse time is retried while
 the flight time is paid once. The link length is an argument of the loss
-and timing functions; ``link_budget`` uses the configured length and
-rejects a T_esta that overflows to infinity. The zone state takes f_op and
-f_move from ``GateNoiseParams``.
+and timing functions; ``configured_esta`` uses the configured length and
+rejects an infinite T_esta, from an overflow or from a herald success of 0.
+The zone state takes f_op and f_move from ``GateNoiseParams``.
 """
 
 from __future__ import annotations
@@ -202,10 +202,23 @@ def qc_zone_state(lp: LinkParams, noise: GateNoiseParams) -> BellDiagonalState:
     return BellDiagonalState.werner((1.0 - p) * swapped + p / 4.0)
 
 
+def configured_esta(p: CavityParams, lp: LinkParams) -> tuple[float, float]:
+    """``expected_esta`` at the configured length; T_esta must be finite.
+
+    A herald success that underflows to 0 means T_esta = inf, so it gets the
+    same error as a T_esta that overflows.
+    """
+    try:
+        t_attempt, t_esta = expected_esta(p, lp, lp.length_km)
+    except ZeroDivisionError:
+        t_attempt, t_esta = math.nan, math.inf
+    check_positive("t_esta_us", t_esta)
+    return t_attempt, t_esta
+
+
 def link_budget(p: CavityParams, lp: LinkParams) -> LinkBudget:
     """Budget of one link at its configured length; T_esta must be finite."""
-    t_attempt, t_esta = expected_esta(p, lp, lp.length_km)
-    check_positive("t_esta_us", t_esta)
+    t_attempt, t_esta = configured_esta(p, lp)
     return LinkBudget(
         r_uncoupled=reflection_amplitude(p, atom_coupled=False),
         r_coupled=reflection_amplitude(p, atom_coupled=True),

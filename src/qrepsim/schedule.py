@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
+from .link import C_VAC_M_PER_S, CavityParams, LinkParams, configured_esta, qc_zone_state
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
 from .states import BellDiagonalState, check_finite, check_positive
@@ -134,8 +134,7 @@ def rate_fidelity_curve(
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported")
-    _, t_esta_us = expected_esta(cavity, link, link.length_km)
-    check_positive("t_esta_us", t_esta_us)  # before the ladder runs
+    _, t_esta_us = configured_esta(cavity, link)  # before the ladder runs
     if initial_state is None:
         initial_state = qc_zone_state(link, noise)
     states, p_list = purify_ladder_weights(initial_state, n_max, noise)

@@ -300,7 +300,8 @@ def test_params_reject_non_finite():
 
 # A link budget or pipeline time that overflows to infinity: link printed
 # t_esta_us = inf (Infinity in JSON, which is not JSON) and purify printed
-# t_eg_us = inf rows with rate 0, both with exit code 0.
+# t_eg_us = inf rows with rate 0, both with exit code 0. At 1100 km the herald
+# success underflows to 0, and both died with a ZeroDivisionError traceback.
 
 
 @pytest.mark.parametrize(
@@ -314,6 +315,10 @@ def test_params_reject_non_finite():
             ["purify", "--n-max", "10", "--format", "json"],
             "t_eg_us must be finite, got inf",
         ),
+        ("1100", ["link"], "t_esta_us must be finite, got inf"),
+        ("1100", ["link", "--format", "json"], "t_esta_us must be finite, got inf"),
+        ("1100", ["purify"], "t_esta_us must be finite, got inf"),
+        ("1100", ["purify", "--format", "json"], "t_esta_us must be finite, got inf"),
     ],
 )
 def test_cli_rejects_an_infinite_time(tmp_path, capsys, length_km, argv, message):

@@ -11,6 +11,8 @@
   rate-fidelity curve is physical, and every P_puri lies in (0, 1].
 - Running ``chain``, ``sweep`` or ``purify`` twice in one process gives the
   same bytes.
+- The namespace the CLI dispatches on, parsed by the subcommand's parser
+  alone, equals the full parser's for any valid argv.
 
 Generation is derandomized so the suite is repeatable.
 """
@@ -37,7 +39,8 @@ from qrepsim import (
     rate_vs_distance,
 )
 from qrepsim.chain import chain_fidelity_table
-from qrepsim.cli import main
+from qrepsim import cli
+from qrepsim.cli import build_parser, main
 from qrepsim.link import expected_esta, qc_zone_state
 from test_plan_search import designs, stations
 
@@ -216,3 +219,67 @@ def test_commands_repeat_their_bytes(f_op, eta_meas, f_move, argv, fmt):
             runs.append((rc, out.read_bytes() if out.exists() else None))
     assert runs[0] == runs[1]
     assert runs[0][0] in (0, 2, 3)
+
+
+# every subcommand's options with a strategy for valid values; None marks a flag
+CLI_OPTIONS = {
+    "link": {},
+    "purify": {"--n-max": st.integers(0, 10).map(str)},
+    "chain": {
+        "--stations": st.integers(2, 65).map(str),
+        "--distance-km": st.floats(0.01, 1000.0).map(repr),
+        "--fc": None,
+        "--target": st.floats(0.5, 0.9999).map(repr),
+    },
+    "sweep": {
+        "--stations": st.sampled_from(["2", "2,5,17", "33,3"]),
+        "--distances": st.sampled_from(["1:500:40,log", "10:20:3,lin", "5:5:1"]),
+        "--fc": st.sampled_from(["both", "on", "off"]),
+    },
+}
+SHARED_OPTIONS = {
+    "--config": st.sampled_from(["q.cfg", "configs/long.cfg"]),
+    "--out": st.sampled_from(["-", "out.csv"]),
+    "--format": st.sampled_from(["csv", "json"]),
+}
+REQUIRED = {"chain": ("--stations", "--distance-km")}
+
+
+@st.composite
+def cli_argv(draw):
+    """Valid argv of one subcommand: options shuffled, some abbreviated, some as --opt=value."""
+    name = draw(st.sampled_from(list(CLI_OPTIONS)))
+    options = {**CLI_OPTIONS[name], **SHARED_OPTIONS}
+    known = [*options, "--help"]
+    chosen = [o for o in options if o in REQUIRED.get(name, ()) or draw(st.booleans())]
+    argv = [name]
+    for option in draw(st.permutations(chosen)):
+        unambiguous = [k for k in range(3, len(option) + 1)
+                       if [o for o in known if o.startswith(option[:k])] == [option]]
+        typed = option[: draw(st.sampled_from(unambiguous))]
+        value = options[option]
+        if value is None:
+            argv.append(typed)
+        elif draw(st.booleans()):
+            argv.append(f"{typed}={draw(value)}")
+        else:
+            argv += [typed, draw(value)]
+    return argv
+
+
+@settings(PROPERTY, max_examples=200)
+@given(argv=cli_argv())
+# --fc both ways in one call: a flag of chain, a choice of sweep
+@example(["chain", "--fc", "--dist=25", "--st", "3", "--form", "json"])
+@example(["sweep", "--fc=off", "--for=csv", "--dist", "1:2:2,lin"])
+def test_one_command_parse_equals_the_full_parse(argv):
+    dispatched = []
+
+    def record(config, args):
+        dispatched.append(vars(args))
+        return 0
+
+    commands = {name: (record, *rest) for name, (_, *rest) in cli.COMMANDS.items()}
+    with mock.patch.dict(cli.COMMANDS, commands), mock.patch.object(cli, "load_config"):
+        assert main(argv) == 0
+    assert dispatched == [vars(build_parser().parse_args(argv))]
