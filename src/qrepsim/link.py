@@ -203,14 +203,10 @@ def qc_zone_state(lp: LinkParams, noise: GateNoiseParams) -> BellDiagonalState:
 
 
 def configured_esta(p: CavityParams, lp: LinkParams) -> tuple[float, float]:
-    """``expected_esta`` at the configured length; T_esta must be finite.
-
-    A herald success that underflows to 0 means T_esta = inf, so it gets the
-    same error as a T_esta that overflows.
-    """
+    """``expected_esta`` at the configured length; T_esta must be finite."""
     try:
         t_attempt, t_esta = expected_esta(p, lp, lp.length_km)
-    except ZeroDivisionError:
+    except ZeroDivisionError:  # herald success underflowed to 0: T_esta is infinite
         t_attempt, t_esta = math.nan, math.inf
     check_positive("t_esta_us", t_esta)
     return t_attempt, t_esta
