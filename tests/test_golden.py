@@ -73,6 +73,17 @@ CASES = {
         3,
     ),
     "sweep": (["sweep"], "", 0),
+    # M = 2 and 3 meet the target, M = 33 does not: feasible and infeasible rows in one output
+    "sweep_mixed_0995_lin_fc_on": (
+        ["sweep", "--stations", "2,33", "--distances", "1:100:3,lin", "--fc", "on"],
+        "fidelity_target = 0.995\nf_op = 0.999\n",
+        0,
+    ),
+    "sweep_mixed_0995_log_fc_off": (
+        ["sweep", "--stations", "2,3,33", "--distances", "0.1:250:4,log", "--fc", "off"],
+        "fidelity_target = 0.995\nf_op = 0.999\n",
+        0,
+    ),
     "link_every_key": (["link"], EVERY_KEY, 0),
     "chain_every_key": (
         ["chain", "--stations", "5", "--distance-km", "25", "--fc"], EVERY_KEY, 0
