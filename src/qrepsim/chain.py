@@ -21,7 +21,10 @@ smaller N2, then the smaller N1. A target that no cell meets gives an
 infeasible plan; a feasible best plan whose T_QR overflows to infinity is
 an error (the CLI exits 2), never a feasible row with zero rate.
 
-The searched rows are plain floats; no parameter object is built per row.
+The searched rows are plain floats; no parameter object is built per row,
+and the plans stay tuples in ``ChainPlan`` field order until the API
+boundary: ``plan_rows`` returns them as they are, for the CLI, while
+``rate_vs_distance`` and ``optimize_plan`` wrap each in a ``ChainPlan``.
 The templates are validated once, each station count once and each
 distance once. Each row passes its link length l to ``expected_esta``, its
 T_esta to ``OperationTimings.stage_time_us`` and its L to ``t_repe``, so a
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -203,7 +207,7 @@ def _search(
     timings_template: OperationTimings,
     table: ChainFidelityTable,
     n_max: int,
-) -> list[ChainPlan]:
+) -> list[tuple]:
     """Best (N1, N2) plan of each row, one numpy pass per N2 over [row, N1].
 
     The rows are those of ``_rows``; they share the table (one swap-level
@@ -211,7 +215,8 @@ def _search(
     running best is replaced only by a strictly smaller T_QR, so ties go to
     the smaller N2, then the smaller N1. Each T_QR is summed round by round
     in the order of the scalar formula, so it equals that formula bit for
-    bit.
+    bit. A plan is a tuple in ``ChainPlan`` field order, built by one
+    ``zip`` over the result columns.
     """
     if not rows:
         return []
@@ -225,53 +230,38 @@ def _search(
     pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
     end_steps = np.array([[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]])
 
-    def plan(i, n1, n2, t_qr_us, rate_hz, feasible):
-        return ChainPlan(
-            m_stations=m_stations[i],
-            total_length_km=lengths[i],
-            fc_enabled=fc_modes[i],
-            fidelity_target=fidelity_target,
-            n1=n1,
-            n2=n2,
-            f_m=table.end_fidelities[n1][n2],
-            t_qr_us=t_qr_us,
-            rate_hz=rate_hz,
-            feasible=feasible,
-        )
-
-    if not feasible.any():
-        n1, n2 = divmod(int(end_f.argmax()), n)  # the first best fidelity, N1-major
-        return [plan(i, n1, n2, 0.0, 0.0, False) for i in range(len(rows))]
-
-    def column(values):
-        return np.array(values, dtype=float)[:, None]
-
-    stage, lc_link, lc_total, repe = column(stage), column(lc_link), column(lc_total), column(repe)
-    best_t = np.full(len(rows), np.inf)
     best_n1 = np.zeros(len(rows), dtype=int)
     best_n2 = np.zeros(len(rows), dtype=int)
-    with np.errstate(over="ignore"):
-        pre_swap = np.hstack([np.zeros_like(stage), np.cumsum(pre_steps + lc_link, axis=1)])
-        pair_time = np.maximum(2 ** np.arange(n) * stage, pre_swap) + repe  # T_EG(N1) + T_repe
-        purification = np.zeros_like(pair_time)
-        for n2 in range(n):
-            if n2:
-                purification = purification + (end_steps[:, n2 - 1] + lc_total)
-            t_qr = np.where(
-                feasible[:, n2], np.maximum(2**n2 * pair_time, purification), np.inf
-            )
-            n1, t_row = t_qr.argmin(axis=1), t_qr.min(axis=1)
-            better = t_row < best_t
-            best_t[better], best_n1[better], best_n2[better] = t_row[better], n1[better], n2
-    if not np.isfinite(best_t).all():
-        raise ValueError("t_qr_us must be finite, got inf")
-    parallel_links = timings_template.parallel_links
-    return [
-        plan(i, n1, n2, t_qr, parallel_links * 1e6 / t_qr, True)
-        for i, (n1, n2, t_qr) in enumerate(
-            zip(best_n1.tolist(), best_n2.tolist(), best_t.tolist())
-        )
-    ]
+    any_feasible = bool(feasible.any())
+    if any_feasible:
+        stage, lc_link, lc_total, repe = np.array(
+            [stage, lc_link, lc_total, repe], dtype=float
+        )[:, :, None]
+        best_t = np.full(len(rows), np.inf)
+        with np.errstate(over="ignore"):
+            pre_swap = np.hstack([np.zeros_like(stage), np.cumsum(pre_steps + lc_link, axis=1)])
+            pair_time = np.maximum(2 ** np.arange(n) * stage, pre_swap) + repe  # T_EG(N1) + T_repe
+            purification = np.zeros_like(pair_time)
+            for n2 in range(n):
+                if n2:
+                    purification = purification + (end_steps[:, n2 - 1] + lc_total)
+                t_qr = np.where(
+                    feasible[:, n2], np.maximum(2**n2 * pair_time, purification), np.inf
+                )
+                n1, t_row = t_qr.argmin(axis=1), t_qr.min(axis=1)
+                better = t_row < best_t
+                best_t[better], best_n1[better], best_n2[better] = t_row[better], n1[better], n2
+        if not np.isfinite(best_t).all():
+            raise ValueError("t_qr_us must be finite, got inf")
+        rate = timings_template.parallel_links * 1e6 / best_t
+    else:  # the first best fidelity, N1-major, at zero T_QR and rate
+        best_n1[:], best_n2[:] = divmod(int(end_f.argmax()), n)
+        best_t = rate = np.zeros(len(rows))
+    return list(zip(
+        m_stations, lengths, fc_modes, repeat(fidelity_target), best_n1.tolist(),
+        best_n2.tolist(), end_f[best_n1, best_n2].tolist(), best_t.tolist(), rate.tolist(),
+        repeat(any_feasible),
+    ))
 
 
 def optimize_plan(
@@ -301,7 +291,38 @@ def optimize_plan(
         table = chain_fidelity_table(
             qc_zone_state(link_template, noise), chain.n_swap_levels, noise, n_max
         )
-    return _search(rows, chain.fidelity_target, timings_template, table, n_max)[0]
+    return ChainPlan(*_search(rows, chain.fidelity_target, timings_template, table, n_max)[0])
+
+
+def plan_rows(
+    distances_km,
+    stations,
+    fc_modes,
+    cavity: CavityParams,
+    link_template: LinkParams,
+    noise: GateNoiseParams,
+    timings_template: OperationTimings = OperationTimings(),
+    fidelity_target: float = 0.99,
+    n_max: int = 8,
+) -> list[tuple]:
+    """Plans of ``rate_vs_distance`` as tuples in ``ChainPlan`` field order."""
+    initial = qc_zone_state(link_template, noise)
+    chains = {m_stations: ChainParams(m_stations, 1.0) for m_stations in stations}
+    levels = {chain.n_swap_levels for chain in chains.values()}
+    tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
+    lengths, stations, fc_modes = sorted(distances_km), sorted(stations), sorted(fc_modes)
+    if lengths and stations and fc_modes:
+        # the first row's chain checks its length and the target, in ChainParams' order
+        ChainParams(stations[0], lengths[0], fidelity_target=fidelity_target)
+    groups = _rows(
+        lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, timings_template
+    )
+    plans = {
+        k: iter(_search(groups[k], fidelity_target, timings_template, table, n_max))
+        for k, table in tables.items()
+    }
+    levels_per_length = [chains[m].n_swap_levels for m in stations for _ in fc_modes]
+    return [next(plans[k]) for _ in lengths for k in levels_per_length]
 
 
 def rate_vs_distance(
@@ -324,20 +345,8 @@ def rate_vs_distance(
     count is validated once, before the tables, and every row in row order
     before any search.
     """
-    initial = qc_zone_state(link_template, noise)
-    chains = {m_stations: ChainParams(m_stations, 1.0) for m_stations in stations}
-    levels = {chain.n_swap_levels for chain in chains.values()}
-    tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
-    lengths, stations, fc_modes = sorted(distances_km), sorted(stations), sorted(fc_modes)
-    if lengths and stations and fc_modes:
-        # the first row's chain checks its length and the target, in ChainParams' order
-        ChainParams(stations[0], lengths[0], fidelity_target=fidelity_target)
-    groups = _rows(
-        lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, timings_template
+    rows = plan_rows(
+        distances_km, stations, fc_modes, cavity, link_template, noise, timings_template,
+        fidelity_target, n_max,
     )
-    plans = {
-        k: iter(_search(groups[k], fidelity_target, timings_template, table, n_max))
-        for k, table in tables.items()
-    }
-    levels_per_length = [chains[m].n_swap_levels for m in stations for _ in fc_modes]
-    return [next(plans[k]) for _ in lengths for k in levels_per_length]
+    return [ChainPlan(*row) for row in rows]

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .chain import ChainParams, optimize_plan, rate_vs_distance
+from .chain import ChainParams, optimize_plan, plan_rows
 from .config import Config, ConfigError, load_config, records
 from .link import link_budget
 from .noise import IDEAL_OPS
@@ -40,8 +40,12 @@ def _format_value(value) -> str:
     return str(value)
 
 
-# _format_value's result for each exact built-in type, looked up once per CSV cell
+# _format_value's result for each exact built-in type, for the cells of a column without a spec
 _CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format, str: str}
+# printf spec of a CSV column by the set of its cells' exact types
+_COLUMN_SPECS = {frozenset({float}): "%.9g", frozenset({np.float64}): "%.9g",
+                 frozenset({float, np.float64}): "%.9g",
+                 frozenset({int}): "%d", frozenset({str}): "%s"}
 
 
 def _config_echo(config: Config) -> list[str]:
@@ -49,14 +53,25 @@ def _config_echo(config: Config) -> list[str]:
 
 
 def emit(out, fmt: str, columns, rows, config: Config) -> None:
-    """Write rows to a path or '-' for stdout."""
+    """Write rows, tuples in column order, to a path or '-' for stdout.
+
+    A CSV is formatted by one printf template, chosen per column from the
+    exact types of its cells: floats (``float``, ``np.float64``) as %.9g,
+    ``int`` as %d, ``str`` as %s. Any other column (bools, numpy integers,
+    mixed types) is formatted cell by cell by ``_format_value``'s rules.
+    """
     if fmt == "csv":
         lines = _config_echo(config)
         lines.append(",".join(columns))
-        cell = _CELL_FORMATS.get
-        for row in rows:
-            values = [row[c] for c in columns]
-            lines.append(",".join([cell(type(v), _format_value)(v) for v in values]))
+        cells, specs = list(zip(*rows)), []
+        for j, column in enumerate(cells):
+            spec = _COLUMN_SPECS.get(frozenset(map(type, column)))
+            if spec is None:
+                cell = _CELL_FORMATS.get
+                cells[j] = [cell(type(v), _format_value)(v) for v in column]
+            specs.append(spec or "%s")
+        template = ",".join(specs)
+        lines += [template % row for row in zip(*cells)]
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -64,12 +79,8 @@ def emit(out, fmt: str, columns, rows, config: Config) -> None:
             "columns": list(columns),
             "rows": [
                 {
-                    c: (
-                        float(format(row[c], ".9g"))
-                        if isinstance(row[c], (float, np.floating))
-                        else row[c]
-                    )
-                    for c in columns
+                    c: float(format(v, ".9g")) if isinstance(v, (float, np.floating)) else v
+                    for c, v in zip(columns, row)
                 }
                 for row in rows
             ],
@@ -98,7 +109,7 @@ def cmd_link(config: Config, args) -> int:
         "rate_khz": 1e3 / budget.t_esta_us,
         "heralded_fidelity": config.technical_fidelity,
     }
-    emit(args.out, args.format, list(row), [row], config)
+    emit(args.out, args.format, list(row), [tuple(row.values())], config)
     return 0
 
 
@@ -115,35 +126,21 @@ def cmd_purify(config: Config, args) -> int:
                 timings,
                 initial_state=BellDiagonalState.werner(f0),
             )
-            for result in curve:
-                rows.append(
-                    {
-                        "ops": ops_label,
-                        "f0": f0,
-                        "n": result.n_rounds,
-                        "fidelity": result.final_fidelity,
-                        "p_puri": result.p_puri,
-                        "t_eg_us": result.t_eg_us,
-                        "rate_hz": result.effective_rate_hz,
-                    }
-                )
-    emit(args.out, args.format, list(rows[0]), rows, config)
+            rows += [(ops_label, f0, r.n_rounds, r.final_fidelity, r.p_puri, r.t_eg_us,
+                      r.effective_rate_hz) for r in curve]
+    columns = ("ops", "f0", "n", "fidelity", "p_puri", "t_eg_us", "rate_hz")
+    emit(args.out, args.format, columns, rows, config)
     return 0
 
 
-def _plan_row(plan) -> dict:
-    return {
-        "total_length_km": plan.total_length_km,
-        "m_stations": plan.m_stations,
-        "fc": 1 if plan.fc_enabled else 0,
-        "target": plan.fidelity_target,
-        "n1": plan.n1,
-        "n2": plan.n2,
-        "f_m": plan.f_m,
-        "t_qr_us": plan.t_qr_us,
-        "rate_hz": plan.rate_hz,
-        "feasible": plan.feasible,
-    }
+_PLAN_COLUMNS = ("total_length_km", "m_stations", "fc", "target", "n1", "n2", "f_m", "t_qr_us",
+                 "rate_hz", "feasible")
+
+
+def _plan_row(plan: tuple) -> tuple:
+    """A plan in ``ChainPlan`` field order, in ``_PLAN_COLUMNS`` order with FC as 1/0."""
+    m_stations, length, fc, *rest = plan
+    return (length, m_stations, 1 if fc else 0, *rest)
 
 
 def cmd_chain(config: Config, args) -> int:
@@ -155,8 +152,8 @@ def cmd_chain(config: Config, args) -> int:
         fc_enabled=args.fc,
     )
     plan = optimize_plan(chain, *records(config))
-    row = _plan_row(plan)
-    emit(args.out, args.format, list(row), [row], config)
+    fields = tuple(vars(plan).values())  # in ChainPlan field order; astuple deep-copies
+    emit(args.out, args.format, _PLAN_COLUMNS, [_plan_row(fields)], config)
     return 0 if plan.feasible else 3
 
 
@@ -190,19 +187,25 @@ def _parse_distances(text: str):
         ) from None
 
 
+def _parse_stations(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad --stations {text!r}; expected comma-separated integers") from None
+
+
 def cmd_sweep(config: Config, args) -> int:
     # a repeated station count or distance would repeat its rows
-    stations = list(dict.fromkeys(int(s) for s in args.stations.split(",")))
+    stations = list(dict.fromkeys(_parse_stations(args.stations)))
     fc_modes = {"both": (False, True), "on": (True,), "off": (False,)}[args.fc]
-    plans = rate_vs_distance(
+    plans = plan_rows(
         list(dict.fromkeys(_parse_distances(args.distances))),
         stations,
         fc_modes,
         *records(config),
         fidelity_target=config.fidelity_target,
     )
-    rows = [_plan_row(p) for p in plans]
-    emit(args.out, args.format, list(rows[0]), rows, config)
+    emit(args.out, args.format, _PLAN_COLUMNS, list(map(_plan_row, plans)), config)
     return 0
 
 

@@ -233,6 +233,16 @@ def test_cli_sweep_bad_distances(capsys):
     assert main(["sweep", "--distances", "bogus"]) == 2
 
 
+@pytest.mark.parametrize("stations", ["x", "2,,5", "2.5"])
+def test_cli_sweep_bad_stations(capsys, stations):
+    assert main(["sweep", "--stations", stations]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: bad --stations {stations!r}; expected comma-separated integers\n"
+    )
+
+
 def test_cli_json_mirror(tmp_path):
     out = tmp_path / "link.json"
     assert main(["link", "--format", "json", "--out", str(out)]) == 0
