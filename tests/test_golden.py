@@ -88,6 +88,12 @@ CASES = {
     "chain_every_key": (
         ["chain", "--stations", "5", "--distance-km", "25", "--fc"], EVERY_KEY, 0
     ),
+    # pipelined, table, per_cavity and explicit: every link-budget branch over a column of lengths
+    "sweep_every_key": (
+        ["sweep", "--stations", "2,5,17", "--distances", "1:500:7,log", "--fc", "both"],
+        EVERY_KEY,
+        0,
+    ),
 }
 FORMATS = ("csv", "json")
 

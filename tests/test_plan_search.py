@@ -9,6 +9,8 @@ infinity, the package raises ``ValueError``. Generation is derandomized so
 the suite is repeatable.
 """
 
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -32,6 +34,7 @@ from qrepsim import (
     rate_vs_distance,
 )
 from qrepsim.chain import ChainFidelityTable, chain_fidelity_table
+from qrepsim.cli import main
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 OVERFLOW = (ValueError, "t_qr_us must be finite, got inf")
@@ -329,3 +332,28 @@ def test_infinite_t_esta_exits_2_before_any_search(argv):
     assert result.returncode == 2
     assert result.stderr == "error: t_esta_us must be finite, got inf\n"
     assert result.stdout == ""
+
+
+SWEEP_GRID = ("sweep", "--stations", "2,5", "--distances", "1000:1100:3,lin", "--fc", "both")
+T_ESTA = "error: t_esta_us must be finite, got inf\n"
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (("sweep", "--stations", "2", "--distances", "1015:1015:1", "--fc", "off"), T_ESTA),
+        (("sweep", "--stations", "2", "--distances", "1100:1100:1", "--fc", "off"), T_ESTA),
+        # the failing row (1050 km, M = 2, no FC) is neither the first row nor in the first column
+        (SWEEP_GRID, T_ESTA),
+        ((*SWEEP_GRID, "--format", "json"), T_ESTA),
+        (
+            ("sweep", "--stations", "2", "--distances", "1005:1012:8,lin", "--fc", "off"),
+            "error: t_qr_us must be finite, got inf\n",
+        ),
+    ],
+)
+def test_cli_sweep_rejects_an_infinite_time(argv, stderr):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert (rc, out.getvalue(), err.getvalue()) == (2, "", stderr)
