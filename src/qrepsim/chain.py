@@ -14,23 +14,20 @@ is minimized over (N1, N2) subject to the end-to-end fidelity target. At
 N2 = 0 this is exactly T_EG(N1) + T_repe; a degenerate two-station chain
 performs no Bell measurement, so T_repe contributes only for M > 2.
 
-One array search serves a single chain and a whole sweep: every length
-that shares a fidelity table is searched together, one numpy pass per N2
-over [length, N1] arrays with a running best. Ties in T_QR go to the
+One array search serves a single chain and a whole sweep: the link budget
+and the search run on columns over every length that shares a station
+count and FC mode. T_QR is built over [N2, N1, length] in blocks of rows
+and each length takes its first minimum, so ties in T_QR go to the
 smaller N2, then the smaller N1. A target that no cell meets gives an
 infeasible plan; a feasible best plan whose T_QR overflows to infinity is
 an error (the CLI exits 2), never a feasible row with zero rate.
 
-The searched rows are plain floats; no parameter object is built per row,
-and the plans stay tuples in ``ChainPlan`` field order until the API
-boundary: ``plan_rows`` returns them as they are, for the CLI, while
-``rate_vs_distance`` and ``optimize_plan`` wrap each in a ``ChainPlan``.
-The templates are validated once, each station count once and each
-distance once. Each row passes its link length l to ``expected_esta``, its
-T_esta to ``OperationTimings.stage_time_us`` and its L to ``t_repe``, so a
-row fails with the message of the check that rejects it, in row order. The link budget's
-10**x stays a scalar power: numpy's vectorized power can differ from libm
-in the last bit, and outputs must keep their bytes.
+The columns come from the link budget's own functions on arrays (its
+power of ten stays libm's, element by element), so each value equals the
+scalar one bit for bit. The first rejected length runs again through the
+scalar checks, which raise the first failing row's error in (L, M, fc)
+order. Plans stay tuples in ``ChainPlan`` field order: ``plan_rows`` returns
+them, for the CLI; ``rate_vs_distance`` and ``optimize_plan`` wrap them.
 """
 
 from __future__ import annotations
@@ -124,7 +121,7 @@ def bell_measurement(
 
 
 def t_repe(t_proj_us: float, total_length_km: float) -> float:
-    """Swap-stage time: classical relay over L/2 plus one readout."""
+    """Swap-stage time: classical relay over L/2 plus one readout; L may be a 1-D array."""
     return total_length_km * 1e3 / (2 * C_VAC_M_PER_S) * 1e6 + t_proj_us
 
 
@@ -161,6 +158,12 @@ def chain_fidelity_table(
     )
 
 
+def _first_rejected(column) -> int:
+    """Index of the first value that is not finite and positive, or the column's length."""
+    ok = (column > 0) & (column < math.inf)
+    return len(column) if ok.all() else int(ok.argmin())
+
+
 def _rows(
     lengths,
     chains: list[ChainParams],
@@ -168,99 +171,105 @@ def _rows(
     cavity: CavityParams,
     link_template: LinkParams,
     timings_template: OperationTimings,
-) -> dict[int, list[tuple]]:
-    """Plan inputs of every (L, M, fc) row, grouped by swap-level count.
+) -> list[tuple]:
+    """Columns (chain, fc, stage time, l/c, L/c, T_repe) over the sorted ``lengths``, in us.
 
-    ``lengths``, ``chains`` (one validated chain per station count, its
-    length unused) and ``fc_modes`` come sorted. A row is (M, L, fc,
-    generation stage time, link l/c, total L/c, T_repe), times in us. Each
-    distance and link length gets the checks of the dataclass that would
-    hold it and each T_esta those of ``stage_time_us``, in row order, so the
-    first failing row raises its error.
+    ``chains`` (one validated chain per station count, its length unused)
+    and ``fc_modes`` come sorted; entries are in (M, fc) order. A row is
+    rejected where its link length (so also L) or T_esta is not finite and
+    positive. T_esta is computed only before the first rejected link length,
+    so no rejected row reaches the power of ten; the first rejected length,
+    as the caller gave it, runs again through the scalar checks, which raise.
     """
     links = [(fc, replace(link_template, fc_enabled=fc)) for fc in fc_modes]
-    groups = {chain.n_swap_levels: [] for chain in chains}
     if not (chains and links):
-        return groups  # no rows, so nothing to check
-    stations = [(chain, chain.n_swap_levels > 0, groups[chain.n_swap_levels]) for chain in chains]
+        return []  # no rows, so nothing to check
     t_proj = timings_template.t_proj_us
-    # past about 1012 km a numpy length overflows T_esta to inf, which the check reports
-    with np.errstate(over="ignore", divide="ignore"):
-        for length in lengths:
+    columns = []
+    # NaN lengths and T_esta overflow (past about 1012 km) or herald success 0 give no warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        total = np.array(lengths, dtype=float)
+        lc_total = classical_delay_us(total)
+        link_lengths = [total / (chain.m_stations - 1) for chain in chains]
+        first = min(map(_first_rejected, link_lengths))
+        for chain, link_km in zip(chains, link_lengths):
+            lc_link = classical_delay_us(link_km)
+            repe = t_repe(t_proj, total) if chain.n_swap_levels else np.zeros_like(total)
+            for fc, link in links:
+                t_esta = expected_esta(cavity, link, link_km[:first])[1]
+                first = min(first, _first_rejected(t_esta))
+                stage = timings_template.stage_time_us(t_esta)
+                columns.append((chain, fc, stage, lc_link, lc_total, repe))
+        if first < len(total):
+            length = lengths[first]
             check_positive("total_length_km", length)
-            lc_total = classical_delay_us(length)
-            for chain, swaps, rows in stations:
+            for chain in chains:
                 link_km = length / (chain.m_stations - 1)
                 check_positive("length_km", link_km)
-                lc_link = classical_delay_us(link_km)
-                repe = t_repe(t_proj, length) if swaps else 0.0
-                for fc, link in links:
-                    t_esta = expected_esta(cavity, link, link_km)[1]
-                    stage = timings_template.stage_time_us(t_esta)
-                    rows.append((chain.m_stations, length, fc, stage, lc_link, lc_total, repe))
-    return groups
+                for _, link in links:
+                    timings_template.stage_time_us(expected_esta(cavity, link, link_km)[1])
+    return columns
+
+
+_BLOCK = 512  # rows per search block: a [N2, N1, row] array is then 330 KB at n_max = 8
 
 
 def _search(
-    rows: list[tuple],
+    lengths,
+    column: tuple,
     fidelity_target: float,
     timings_template: OperationTimings,
     table: ChainFidelityTable,
     n_max: int,
 ) -> list[tuple]:
-    """Best (N1, N2) plan of each row, one numpy pass per N2 over [row, N1].
+    """Best (N1, N2) plan at each length of one ``_rows`` entry, in ``ChainPlan`` field order.
 
-    The rows are those of ``_rows``; they share the table (one swap-level
-    count), the fidelity target, and every timing but T_esta and l. A
-    running best is replaced only by a strictly smaller T_QR, so ties go to
-    the smaller N2, then the smaller N1. Each T_QR is summed round by round
-    in the order of the scalar formula, so it equals that formula bit for
-    bit. A plan is a tuple in ``ChainPlan`` field order, built by one
-    ``zip`` over the result columns.
+    The rows share the table (one swap-level count), the target, and every
+    timing but T_esta, l and L. T_QR is built over [N2, N1, row] in blocks
+    of ``_BLOCK`` rows; each row takes its first minimum in (N2, N1) order,
+    so ties go to the smaller N2, then the smaller N1. The round sums are
+    sequential ``cumsum``s in the scalar formula's order, so each T_QR
+    equals that formula bit for bit. Plans hold the caller's lengths.
     """
-    if not rows:
-        return []
-    m_stations, lengths, fc_modes, stage, lc_link, lc_total, repe = zip(*rows)
     if n_max > len(table.pre_swap_p):
         raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
+    chain, fc, stage, lc_link, lc_total, repe = column
     n = n_max + 1
     end_f = np.array(table.end_fidelities)[:n, :n]
     feasible = end_f >= fidelity_target - 1e-12
-    t_proj = timings_template.t_proj_us
-    pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
-    end_steps = np.array([[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]])
-
-    best_n1 = np.zeros(len(rows), dtype=int)
-    best_n2 = np.zeros(len(rows), dtype=int)
     any_feasible = bool(feasible.any())
+    best, best_t = np.zeros(len(lengths), dtype=int), np.zeros(len(lengths))  # N2 * n + N1, T_QR
     if any_feasible:
-        stage, lc_link, lc_total, repe = np.array(
-            [stage, lc_link, lc_total, repe], dtype=float
-        )[:, :, None]
-        best_t = np.full(len(rows), np.inf)
+        t_proj = timings_template.t_proj_us
+        pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
+        # [k, N1]: the (k+1)-th post-swap round's time after N1 pre-swap rounds
+        end_steps = np.array([[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]]).T
+        infeasible = ~feasible.T  # [N2, N1]
+        doubling = 2.0 ** np.arange(n)
         with np.errstate(over="ignore"):
-            pre_swap = np.hstack([np.zeros_like(stage), np.cumsum(pre_steps + lc_link, axis=1)])
-            pair_time = np.maximum(2 ** np.arange(n) * stage, pre_swap) + repe  # T_EG(N1) + T_repe
-            purification = np.zeros_like(pair_time)
-            for n2 in range(n):
-                if n2:
-                    purification = purification + (end_steps[:, n2 - 1] + lc_total)
-                t_qr = np.where(
-                    feasible[:, n2], np.maximum(2**n2 * pair_time, purification), np.inf
-                )
-                n1, t_row = t_qr.argmin(axis=1), t_qr.min(axis=1)
-                better = t_row < best_t
-                best_t[better], best_n1[better], best_n2[better] = t_row[better], n1[better], n2
+            for start in range(0, len(lengths), _BLOCK):
+                rows = slice(start, start + _BLOCK)
+                pre_swap = np.zeros((n, len(stage[rows])))  # [N1, row]
+                np.cumsum(pre_steps[:, None] + lc_link[rows], axis=0, out=pre_swap[1:])
+                pair_time = np.maximum(doubling[:, None] * stage[rows], pre_swap) + repe[rows]
+                t_qr = np.zeros((n, *pre_swap.shape))  # [N2, N1, row]: purification, then T_QR
+                np.cumsum(end_steps[:, :, None] + lc_total[rows], axis=0, out=t_qr[1:])
+                np.maximum(doubling[:, None, None] * pair_time, t_qr, out=t_qr)
+                t_qr[infeasible] = np.inf
+                t_qr = t_qr.reshape(n * n, -1)
+                best[rows] = t_qr.argmin(axis=0)
+                best_t[rows] = t_qr.min(axis=0)
         if not np.isfinite(best_t).all():
             raise ValueError("t_qr_us must be finite, got inf")
         rate = timings_template.parallel_links * 1e6 / best_t
     else:  # the first best fidelity, N1-major, at zero T_QR and rate
-        best_n1[:], best_n2[:] = divmod(int(end_f.argmax()), n)
-        best_t = rate = np.zeros(len(rows))
+        n1, n2 = divmod(int(end_f.argmax()), n)
+        best[:], rate = n2 * n + n1, best_t
+    best_n2, best_n1 = np.divmod(best, n)
     return list(zip(
-        m_stations, lengths, fc_modes, repeat(fidelity_target), best_n1.tolist(),
-        best_n2.tolist(), end_f[best_n1, best_n2].tolist(), best_t.tolist(), rate.tolist(),
-        repeat(any_feasible),
+        repeat(chain.m_stations), lengths, repeat(fc), repeat(fidelity_target),
+        best_n1.tolist(), best_n2.tolist(), end_f[best_n1, best_n2].tolist(), best_t.tolist(),
+        rate.tolist(), repeat(any_feasible),
     ))
 
 
@@ -283,15 +292,17 @@ def optimize_plan(
     first best fidelity in N1-major order. A feasible best plan whose T_QR
     overflows to infinity raises ValueError.
     """
-    rows = _rows(
-        [chain.total_length_km], [chain], [chain.fc_enabled], cavity, link_template,
-        timings_template,
-    )[chain.n_swap_levels]
+    lengths = [chain.total_length_km]
+    (column,) = _rows(
+        lengths, [chain], [chain.fc_enabled], cavity, link_template, timings_template
+    )
     if table is None:
         table = chain_fidelity_table(
             qc_zone_state(link_template, noise), chain.n_swap_levels, noise, n_max
         )
-    return ChainPlan(*_search(rows, chain.fidelity_target, timings_template, table, n_max)[0])
+    return ChainPlan(
+        *_search(lengths, column, chain.fidelity_target, timings_template, table, n_max)[0]
+    )
 
 
 def plan_rows(
@@ -314,15 +325,14 @@ def plan_rows(
     if lengths and stations and fc_modes:
         # the first row's chain checks its length and the target, in ChainParams' order
         ChainParams(stations[0], lengths[0], fidelity_target=fidelity_target)
-    groups = _rows(
+    columns = _rows(
         lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, timings_template
     )
-    plans = {
-        k: iter(_search(groups[k], fidelity_target, timings_template, table, n_max))
-        for k, table in tables.items()
-    }
-    levels_per_length = [chains[m].n_swap_levels for m in stations for _ in fc_modes]
-    return [next(plans[k]) for _ in lengths for k in levels_per_length]
+    plans = [
+        _search(lengths, c, fidelity_target, timings_template, tables[c[0].n_swap_levels], n_max)
+        for c in columns
+    ]
+    return [plan for same_length in zip(*plans) for plan in same_length]
 
 
 def rate_vs_distance(

@@ -133,10 +133,15 @@ def reflection_amplitude(p: CavityParams, atom_coupled: bool) -> complex:
 
 
 def link_transmission(lp: LinkParams, length_km: float) -> float:
-    """Transmission over length_km: fiber, circulators, detector, FC."""
+    """Transmission over length_km (a float or a 1-D array): fiber, circulators, detector, FC."""
     db = (lp.fiber_db_per_km_fc if lp.fc_enabled else lp.fiber_db_per_km) * length_km
     db += lp.n_circulators * lp.circulator_loss_db
-    eta = 10.0 ** (-db / 10.0) * lp.detector_efficiency
+    power = -db / 10.0
+    if getattr(power, "ndim", 0):  # libm's pow per element: numpy's may differ in the last bit
+        power[:] = [10.0**x for x in power.tolist()]
+    else:
+        power = 10.0**power
+    eta = power * lp.detector_efficiency
     if lp.fc_enabled:
         eta *= lp.eta_fc**2
     return eta
@@ -163,7 +168,8 @@ def expected_esta(p: CavityParams, lp: LinkParams, length_km: float) -> tuple[fl
     The attempt is one probe pulse (pulse_factor / kappa) plus photon flight
     (l/v) plus classical heralding (l/c); the 'table' convention drops the
     l/c term. Serial heralding retries the whole attempt, pipelined
-    heralding retries only the pulse.
+    heralding retries only the pulse. An array of lengths gives arrays of the
+    scalar values, and infinity where a float's herald success of 0 raises.
     """
     pulse_us = lp.pulse_factor / p.kappa_rad_per_s * 1e6
     l_m = length_km * 1e3

@@ -33,7 +33,7 @@ MOVE_ACCOUNTINGS = ("averaged", "explicit")
 
 
 def classical_delay_us(l_km: float) -> float:
-    """One-way classical signalling time over l_km at vacuum light speed."""
+    """One-way classical signalling time over l_km (a float or an array) at vacuum light speed."""
     return l_km * 1e3 / C_VAC_M_PER_S * 1e6
 
 
@@ -62,8 +62,12 @@ class OperationTimings:
 
     def stage_time_us(self, t_esta_us: float) -> float:
         """Per-pair time of the pipelined generation stage at a finite, positive T_esta."""
-        check_positive("t_esta_us", t_esta_us)
-        stage = max(t_esta_us + self.t_swap_us, self.t_swap_us + self.t_move_us)
+        generation, floor = t_esta_us + self.t_swap_us, self.t_swap_us + self.t_move_us
+        if getattr(generation, "ndim", 0):  # an array of T_esta: the caller checks its values
+            stage = generation.clip(floor)
+        else:
+            check_positive("t_esta_us", t_esta_us)
+            stage = max(generation, floor)
         if self.move_accounting == "explicit":
             stage /= self.p_move
         return stage

@@ -185,3 +185,19 @@ def test_link_params_validation():
         LinkParams(length_km=-1.0)
     with pytest.raises(ValueError):
         LinkParams(herald_mode="batched")
+
+
+@pytest.mark.parametrize("fc_enabled", [False, True])
+@pytest.mark.parametrize("herald_mode", ["serial", "pipelined"])
+def test_array_of_lengths_equals_the_scalar_calls(fc_enabled, herald_mode):
+    # numpy's vectorized power differs from libm's in the last bit for some exponents;
+    # the link budget keeps libm's on arrays too, so every element equals its scalar call
+    lp = LinkParams(fc_enabled=fc_enabled, herald_mode=herald_mode)
+    lengths = np.geomspace(1e-3, 1100.0, 10_000)
+    # past about 1026 km without FC the herald success is 0 and T_esta infinite
+    with np.errstate(over="ignore", divide="ignore"):
+        eta = link_transmission(lp, lengths)
+        t_attempt, t_esta = expected_esta(CavityParams(), lp, lengths)
+        scalar = [(link_transmission(lp, x), *expected_esta(CavityParams(), lp, x))
+                  for x in lengths]
+    assert [eta.tolist(), t_attempt.tolist(), t_esta.tolist()] == list(map(list, zip(*scalar)))

@@ -164,6 +164,19 @@ TIMES = ("t_qr_us", "rate_hz")
 @example(DEFAULTS, [math.nan], False, [4, 2], (True,), 0.99, 8)
 @example(DEFAULTS, [5.0], False, [2, 4, 1], (True,), 0.99, 8)
 @example(DEFAULTS, [1.0, math.inf], False, [5], (True,), 0.99, 8)
+# a failing length deep in a list of good ones: T_esta overflows, or herald success underflows
+@example(DEFAULTS, [*map(float, range(1, 11)), 1015.0, *map(float, range(11, 21))], True, [2],
+         (False, True), 0.99, 8)
+@example(DEFAULTS, [*map(float, range(1, 11)), 1100.0, *map(float, range(11, 21))], False,
+         [5, 2], (False,), 0.99, 8)
+# a failure only at a later length, then only in a later (M, fc) column: M = 3's link underflows
+@example(DEFAULTS, [10.0, 1100.0], False, [5, 2], (True, False), 0.99, 8)
+@example(DEFAULTS, [1.0, 5e-324], False, [3, 2], (False, True), 0.99, 8)
+# a length whose power of ten would overflow; NaN leaves it after a good first length
+@example(DEFAULTS, [-5000.0], False, [2], (False,), 0.99, 8)
+@example(DEFAULTS, [-5000.0], True, [2], (False,), 0.99, 8)
+@example(DEFAULTS, [5.0, math.nan, -5000.0], False, [2], (False,), 0.99, 8)
+@example(DEFAULTS, [5.0, math.nan, -5000.0], True, [2], (False,), 0.99, 8)
 def test_rate_vs_distance_raises_the_first_failing_rows_error(
     design, distances, numpy_lengths, station_list, fc, target, n_max
 ):
@@ -343,7 +356,7 @@ T_ESTA = "error: t_esta_us must be finite, got inf\n"
     [
         (("sweep", "--stations", "2", "--distances", "1015:1015:1", "--fc", "off"), T_ESTA),
         (("sweep", "--stations", "2", "--distances", "1100:1100:1", "--fc", "off"), T_ESTA),
-        # the failing row (1050 km, M = 2, no FC) is neither the first row nor in the first column
+        # the failing row (1050 km, M = 2, no FC) is neither the first row nor at the first length
         (SWEEP_GRID, T_ESTA),
         ((*SWEEP_GRID, "--format", "json"), T_ESTA),
         (
