@@ -33,7 +33,7 @@ them, for the CLI; ``rate_vs_distance`` and ``optimize_plan`` wrap them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -175,14 +175,14 @@ def _rows(
     """Columns (chain, fc, stage time, l/c, L/c, T_repe) over the sorted ``lengths``, in us.
 
     ``chains`` (one validated chain per station count, its length unused)
-    and ``fc_modes`` come sorted; entries are in (M, fc) order. A row is
+    and ``fc_modes`` come sorted; entries are in (M, fc) order. Like the
+    length, each FC mode is an argument of ``expected_esta``. A row is
     rejected where its link length (so also L) or T_esta is not finite and
     positive. T_esta is computed only before the first rejected link length,
     so no rejected row reaches the power of ten; the first rejected length,
     as the caller gave it, runs again through the scalar checks, which raise.
     """
-    links = [(fc, replace(link_template, fc_enabled=fc)) for fc in fc_modes]
-    if not (chains and links):
+    if not (chains and fc_modes):
         return []  # no rows, so nothing to check
     t_proj = timings_template.t_proj_us
     columns = []
@@ -195,8 +195,8 @@ def _rows(
         for chain, link_km in zip(chains, link_lengths):
             lc_link = classical_delay_us(link_km)
             repe = t_repe(t_proj, total) if chain.n_swap_levels else np.zeros_like(total)
-            for fc, link in links:
-                t_esta = expected_esta(cavity, link, link_km[:first])[1]
+            for fc in fc_modes:
+                t_esta = expected_esta(cavity, link_template, link_km[:first], fc)[1]
                 first = min(first, _first_rejected(t_esta))
                 stage = timings_template.stage_time_us(t_esta)
                 columns.append((chain, fc, stage, lc_link, lc_total, repe))
@@ -206,8 +206,10 @@ def _rows(
             for chain in chains:
                 link_km = length / (chain.m_stations - 1)
                 check_positive("length_km", link_km)
-                for _, link in links:
-                    timings_template.stage_time_us(expected_esta(cavity, link, link_km)[1])
+                for fc in fc_modes:
+                    timings_template.stage_time_us(
+                        expected_esta(cavity, link_template, link_km, fc)[1]
+                    )
     return columns
 
 

@@ -1,63 +1,42 @@
 """Flat key-value configuration with validated defaults.
 
-The file format is one ``key = value`` per line with ``#`` comments. Every
-key has a default, so an empty file is a valid configuration. Rate-like
-entries are in 2*pi MHz, durations in microseconds, distances in km and
-losses in dB.
-Each key but ``fidelity_target`` is the field of that name of one parameter
-record, with the same default; ``records`` fills the records, which check
-the ranges.
+The file format is one ``key = value`` per line with ``#`` comments, in
+UTF-8 with or without a byte-order mark. Every key has a default, so an
+empty file is a valid configuration. Rate-like entries are in 2*pi MHz,
+durations in microseconds, distances in km and losses in dB.
+The keys are the fields of the parameter records, in record order, then
+the chain's ``fidelity_target``; ``Config`` is built from those fields, so
+each key's type and default live in the record alone. Per-query values
+(the chain's stations and length, FC) are arguments, not keys. ``records``
+fills the records, which check the ranges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import fields, make_dataclass
 
+from .chain import ChainParams
 from .link import CavityParams, LinkParams
 from .noise import GateNoiseParams
 from .schedule import OperationTimings
 from .states import check_finite
+
+_RECORDS = (CavityParams, LinkParams, GateNoiseParams, OperationTimings)
 
 
 class ConfigError(ValueError):
     """Configuration parse or validation failure."""
 
 
-@dataclass(frozen=True)
-class Config:
-    # cavity
-    g_mhz: float = 7.6
-    kappa_mhz: float = 4.0
-    kappa0_mhz: float = 0.2
-    gamma_mhz: float = 3.0
-    # link
-    length_km: float = 0.1
-    fiber_db_per_km: float = 3.0
-    fiber_db_per_km_fc: float = 0.19
-    circulator_loss_db: float = 1.0
-    n_circulators: int = 2
-    detector_efficiency: float = 0.75
-    eta_fc: float = 0.6
-    fiber_index: float = 1.5
-    pulse_factor: float = 20.0
-    technical_fidelity: float = 0.96
-    herald_mode: str = "serial"
-    esta_convention: str = "text"
-    cz_accounting: str = "paper"
-    # local operations
-    f_op: float = 0.995
-    eta_meas: float = 0.99
-    f_move: float = 0.96
-    # timings
-    t_swap_us: float = 2.0
-    t_move_us: float = 20.0
-    t_proj_us: float = 200.0
-    p_move: float = 0.9
-    move_accounting: str = "averaged"
-    parallel_links: int = 1
-    # chain
-    fidelity_target: float = 0.99
-
+# the keys in echo order: every record's fields, then the chain's target
+_KEYS = [f for record in _RECORDS for f in fields(record)]
+_KEYS += [f for f in fields(ChainParams) if f.name == "fidelity_target"]
+Config = make_dataclass(
+    "Config",
+    [(f.name, f.type, f.default) for f in _KEYS],
+    frozen=True,
+    namespace={"__module__": __name__},  # make_dataclass's module argument needs Python 3.12
+)
 
 _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 
@@ -98,11 +77,9 @@ def parse_config(text: str) -> Config:
 
 def load_config(path: str | None) -> Config:
     if path is None:
-        config = Config()
-        validate_config(config)
-        return config
+        return parse_config("")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
@@ -123,10 +100,8 @@ def validate_config(config: Config) -> None:
 def records(config: Config) -> tuple[CavityParams, LinkParams, GateNoiseParams, OperationTimings]:
     """The parameter records, each field set from the config key of its name.
 
-    ``LinkParams.fc_enabled`` is no config key; it keeps its default.
+    Every record field is a key; FC, like the link length a query uses, is
+    an argument of the link functions, not a field.
     """
     keys = vars(config)
-    return tuple(
-        record(**{f.name: keys[f.name] for f in fields(record) if f.name in keys})
-        for record in (CavityParams, LinkParams, GateNoiseParams, OperationTimings)
-    )
+    return tuple(record(**{f.name: keys[f.name] for f in fields(record)}) for record in _RECORDS)

@@ -14,9 +14,11 @@ Timing and success bookkeeping: the heralding success probability folds the
 post-selected gate success into the fiber/circulator/detector budget, and
 the expected e-bit preparation time is one attempt duration divided by it
 (serial mode) or, in pipelined mode, only the pulse time is retried while
-the flight time is paid once. The link length is an argument of the loss
-and timing functions; ``configured_esta`` uses the configured length and
-rejects an infinite T_esta, from an overflow or from a herald success of 0.
+the flight time is paid once. The link length and frequency conversion
+(FC) are arguments of the loss and timing functions, so ``LinkParams``
+holds configuration only; ``configured_esta`` uses the configured length
+without FC and rejects an infinite T_esta, from an overflow or from a
+herald success of 0.
 The zone state takes f_op and f_move from ``GateNoiseParams``.
 """
 
@@ -73,7 +75,6 @@ class LinkParams:
     circulator_loss_db: float = 1.0
     n_circulators: int = 2
     detector_efficiency: float = 0.75
-    fc_enabled: bool = False
     eta_fc: float = 0.6
     fiber_index: float = 1.5
     pulse_factor: float = 20.0
@@ -132,9 +133,9 @@ def reflection_amplitude(p: CavityParams, atom_coupled: bool) -> complex:
     return complex(1.0 - 2.0 * p.kappa_ex_mhz / denom, 0.0)
 
 
-def link_transmission(lp: LinkParams, length_km: float) -> float:
+def link_transmission(lp: LinkParams, length_km: float, fc: bool = False) -> float:
     """Transmission over length_km (a float or a 1-D array): fiber, circulators, detector, FC."""
-    db = (lp.fiber_db_per_km_fc if lp.fc_enabled else lp.fiber_db_per_km) * length_km
+    db = (lp.fiber_db_per_km_fc if fc else lp.fiber_db_per_km) * length_km
     db += lp.n_circulators * lp.circulator_loss_db
     power = -db / 10.0
     if getattr(power, "ndim", 0):  # libm's pow per element: numpy's may differ in the last bit
@@ -142,7 +143,7 @@ def link_transmission(lp: LinkParams, length_km: float) -> float:
     else:
         power = 10.0**power
     eta = power * lp.detector_efficiency
-    if lp.fc_enabled:
+    if fc:
         eta *= lp.eta_fc**2
     return eta
 
@@ -158,11 +159,13 @@ def cz_success(p: CavityParams, lp: LinkParams) -> float:
     return r2 if lp.cz_accounting == "paper" else r2**2
 
 
-def herald_success(p: CavityParams, lp: LinkParams, length_km: float) -> float:
-    return cz_success(p, lp) * link_transmission(lp, length_km)
+def herald_success(p: CavityParams, lp: LinkParams, length_km: float, fc: bool = False) -> float:
+    return cz_success(p, lp) * link_transmission(lp, length_km, fc)
 
 
-def expected_esta(p: CavityParams, lp: LinkParams, length_km: float) -> tuple[float, float]:
+def expected_esta(
+    p: CavityParams, lp: LinkParams, length_km: float, fc: bool = False
+) -> tuple[float, float]:
     """(single-attempt duration, expected e-bit preparation time) in us.
 
     The attempt is one probe pulse (pulse_factor / kappa) plus photon flight
@@ -177,7 +180,7 @@ def expected_esta(p: CavityParams, lp: LinkParams, length_km: float) -> tuple[fl
     if lp.esta_convention == "text":
         flight_us += l_m / C_VAC_M_PER_S * 1e6
     t_attempt = pulse_us + flight_us
-    p_succ = herald_success(p, lp, length_km)
+    p_succ = herald_success(p, lp, length_km, fc)
     if lp.herald_mode == "serial":
         t_esta = t_attempt / p_succ
     else:

@@ -40,12 +40,8 @@ def optimize_plan(
     n_max: int = 8,
     table=None,
 ) -> ChainPlan:
-    link = replace(
-        link_template,
-        length_km=chain.total_length_km / (chain.m_stations - 1),
-        fc_enabled=chain.fc_enabled,
-    )
-    _, t_esta_us = expected_esta(cavity, link, link.length_km)
+    link = replace(link_template, length_km=chain.total_length_km / (chain.m_stations - 1))
+    _, t_esta_us = expected_esta(cavity, link, link.length_km, chain.fc_enabled)
     timings = timings_template
     timings.stage_time_us(t_esta_us)  # rejects a T_esta that is not finite, as the package does
     if table is None:

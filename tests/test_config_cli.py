@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -14,7 +14,7 @@ from qrepsim import (
     parse_config,
 )
 from qrepsim.cli import main
-from qrepsim.config import records
+from qrepsim.config import load_config, records
 from test_golden import EVERY_KEY
 
 RECORDS = (CavityParams, LinkParams, GateNoiseParams, OperationTimings)
@@ -75,19 +75,33 @@ def test_config_validates_mode_names():
 
 
 def test_config_keys_are_the_record_fields():
-    names = [f.name for record in RECORDS for f in fields(record) if f.name != "fc_enabled"]
+    names = [f.name for record in RECORDS for f in fields(record)]
     assert len(names) == len(set(names))
-    assert set(names) | {"fidelity_target"} == {f.name for f in fields(Config)}
+    # the keys in record order, then the chain's target: also the config echo's order
+    assert list(vars(Config())) == [*names, "fidelity_target"]
     assert records(Config()) == tuple(record() for record in RECORDS)
     assert ChainParams(5, 1.0).fidelity_target == Config().fidelity_target
+
+
+def test_config_is_a_frozen_dataclass_of_the_config_module():
+    assert Config.__module__ == "qrepsim.config"
+    with pytest.raises(FrozenInstanceError):
+        Config().g_mhz = 8.0
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(EVERY_KEY, encoding="utf-8")
+    marked.write_text(EVERY_KEY, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert load_config(str(marked)) == load_config(str(plain)) == parse_config(EVERY_KEY)
 
 
 def test_records_take_every_key_from_the_config():
     config = parse_config(EVERY_KEY)
     for record in records(config):
         for f in fields(record):
-            if f.name != "fc_enabled":
-                assert getattr(record, f.name) == getattr(config, f.name)
+            assert getattr(record, f.name) == getattr(config, f.name)
 
 
 def test_config_reports_f_move_with_the_noise_record():

@@ -72,7 +72,7 @@ def test_link_transmission_lossless():
 
 def test_link_transmission_fc_factor():
     base = link_transmission(LinkParams(fiber_db_per_km_fc=3.0), 0.1)
-    with_fc = link_transmission(LinkParams(fc_enabled=True, fiber_db_per_km_fc=3.0), 0.1)
+    with_fc = link_transmission(LinkParams(fiber_db_per_km_fc=3.0), 0.1, fc=True)
     assert with_fc == pytest.approx(base * 0.36, abs=1e-12)
 
 
@@ -93,9 +93,7 @@ def test_herald_success_perfect_limit():
 
 def test_herald_success_with_fc():
     p_base = herald_success(CavityParams(), LinkParams(fiber_db_per_km_fc=3.0), 0.1)
-    p_fc = herald_success(
-        CavityParams(), LinkParams(fc_enabled=True, fiber_db_per_km_fc=3.0), 0.1
-    )
+    p_fc = herald_success(CavityParams(), LinkParams(fiber_db_per_km_fc=3.0), 0.1, fc=True)
     assert p_fc == pytest.approx(p_base * 0.36, abs=1e-12)
 
 
@@ -185,6 +183,9 @@ def test_link_params_validation():
         LinkParams(length_km=-1.0)
     with pytest.raises(ValueError):
         LinkParams(herald_mode="batched")
+    # FC is an argument of the link functions: an old caller fails, not runs without FC
+    with pytest.raises(TypeError):
+        LinkParams(fc_enabled=True)
 
 
 @pytest.mark.parametrize("fc_enabled", [False, True])
@@ -192,12 +193,13 @@ def test_link_params_validation():
 def test_array_of_lengths_equals_the_scalar_calls(fc_enabled, herald_mode):
     # numpy's vectorized power differs from libm's in the last bit for some exponents;
     # the link budget keeps libm's on arrays too, so every element equals its scalar call
-    lp = LinkParams(fc_enabled=fc_enabled, herald_mode=herald_mode)
+    lp = LinkParams(herald_mode=herald_mode)
     lengths = np.geomspace(1e-3, 1100.0, 10_000)
     # past about 1026 km without FC the herald success is 0 and T_esta infinite
     with np.errstate(over="ignore", divide="ignore"):
-        eta = link_transmission(lp, lengths)
-        t_attempt, t_esta = expected_esta(CavityParams(), lp, lengths)
-        scalar = [(link_transmission(lp, x), *expected_esta(CavityParams(), lp, x))
+        eta = link_transmission(lp, lengths, fc_enabled)
+        t_attempt, t_esta = expected_esta(CavityParams(), lp, lengths, fc_enabled)
+        scalar = [(link_transmission(lp, x, fc_enabled),
+                   *expected_esta(CavityParams(), lp, x, fc_enabled))
                   for x in lengths]
     assert [eta.tolist(), t_attempt.tolist(), t_esta.tolist()] == list(map(list, zip(*scalar)))

@@ -221,7 +221,7 @@ def test_optimize_plan_equals_scalar_search(
     table = None
     if shared_table:
         link_km = chain.total_length_km / (chain.m_stations - 1)
-        zone = qc_zone_state(replace(link, length_km=link_km, fc_enabled=fc), noise)
+        zone = qc_zone_state(replace(link, length_km=link_km), noise)
         table = chain_fidelity_table(zone, chain.n_swap_levels, noise, 8)
     args = (chain, CavityParams(), link, noise, timings)
     kwargs = dict(n_max=n_max, table=table)

@@ -97,8 +97,8 @@ def test_optimal_rate_never_rises_with_distance(design, distances, m_stations, f
 def _t_qr_cells(design, m_stations, fc, length_km, table):
     link, _, timings = design
     chain = ChainParams(m_stations, length_km, fc_enabled=fc)
-    link = replace(link, length_km=length_km / (m_stations - 1), fc_enabled=fc)
-    _, t_esta_us = expected_esta(CavityParams(), link, link.length_km)
+    link = replace(link, length_km=length_km / (m_stations - 1))
+    _, t_esta_us = expected_esta(CavityParams(), link, link.length_km, fc)
     return scalar_search.t_qr_cells(chain, link.length_km, t_esta_us, timings, table)
 
 
