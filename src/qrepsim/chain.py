@@ -48,6 +48,12 @@ from .purify import purify_n_rounds  # noqa: F401
 from .states import expand_operator  # noqa: F401
 
 
+def check_fidelity_target(value: float) -> None:
+    """Reject a fidelity target outside [0, 1), for a chain and a config alike."""
+    if not 0 <= value < 1:
+        raise ValueError("fidelity_target must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     m_stations: int
@@ -66,8 +72,7 @@ class ChainParams:
             )
         if self.total_length_km <= 0:
             raise ValueError("total_length_km must be positive")
-        if not 0 <= self.fidelity_target < 1:
-            raise ValueError("fidelity_target must lie in [0, 1)")
+        check_fidelity_target(self.fidelity_target)
 
     @property
     def n_swap_levels(self) -> int:

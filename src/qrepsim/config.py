@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import fields, make_dataclass
 
-from .chain import ChainParams
+from .chain import ChainParams, check_fidelity_target
 from .link import CavityParams, LinkParams
 from .noise import GateNoiseParams
 from .schedule import OperationTimings
@@ -44,9 +44,9 @@ _FIELD_TYPES = {f.name: f.type for f in fields(Config)}
 def _convert(key: str, raw: str, line_no: int):
     kind = _FIELD_TYPES[key]
     try:
-        if kind in ("int", int):
+        if kind == "int":
             return int(raw)
-        if kind in ("float", float):
+        if kind == "float":
             return float(raw)
         return raw
     except ValueError as exc:
@@ -81,7 +81,7 @@ def load_config(path: str | None) -> Config:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     return parse_config(text)
 
@@ -91,8 +91,7 @@ def validate_config(config: Config) -> None:
     try:
         check_finite(config)
         records(config)
-        if not 0 <= config.fidelity_target < 1:
-            raise ValueError("fidelity_target must lie in [0, 1)")
+        check_fidelity_target(config.fidelity_target)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

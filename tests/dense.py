@@ -10,20 +10,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qrepsim import (
+from qrepsim import GateNoiseParams, LinkParams
+from qrepsim.noise import noisy_measure_z, noisy_two_qubit_gate, swap_gate, transport_channel
+from qrepsim.states import (
+    HADAMARD,
+    PAULI_X,
+    PAULI_Z,
     DensityMatrix,
-    GateNoiseParams,
-    LinkParams,
     computational_state,
-    noisy_measure_z,
-    noisy_two_qubit_gate,
+    expand_operator,
     partial_trace,
-    swap_gate,
     tensor,
-    transport_channel,
     werner,
 )
-from qrepsim.states import HADAMARD, PAULI_X, PAULI_Z, expand_operator
 
 
 @dataclass(frozen=True)

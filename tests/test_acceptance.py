@@ -15,33 +15,33 @@ from qrepsim import (
     IDEAL_OPS,
     LinkParams,
     OperationTimings,
-    PSI_PLUS,
     bell_measurement,
-    bell_state,
     calibrate_t_proj,
-    computational_state,
     expected_esta,
-    fidelity_bell,
     fixed_point_fidelity,
     herald_success,
     optimize_plan,
-    partial_trace,
     purify_ladder_weights,
-    purify_n_rounds,
-    purify_round,
     purify_round_weights,
     qc_zone_state,
     rate_fidelity_curve,
     rate_vs_distance,
     reflection_amplitude,
-    swap_gate,
+)
+from qrepsim.noise import gate_noise_channel, swap_gate, transport_channel
+from qrepsim.purify import purify_n_rounds, purify_round
+from qrepsim.states import (
+    PSI_PLUS,
+    bell_state,
+    computational_state,
+    depolarizing_channel,
+    fidelity_bell,
+    identity_channel,
+    partial_trace,
     tensor,
     to_bell_diagonal,
-    transport_channel,
     werner,
 )
-from qrepsim.noise import gate_noise_channel
-from qrepsim.states import depolarizing_channel, identity_channel
 
 NOISY = GateNoiseParams(f_op=0.995, eta_meas=0.99)
 PIPELINED = LinkParams(herald_mode="pipelined")
@@ -191,8 +191,7 @@ def test_criterion_8_swapping_oracle():
             abs(out.fidelity - expected) <= 1e-9
         )
     # feedforward branch equivalence, ideal operations
-    from qrepsim import noisy_measure_z
-    from qrepsim.noise import noisy_two_qubit_gate
+    from qrepsim.noise import noisy_measure_z, noisy_two_qubit_gate
     from qrepsim.states import HADAMARD, PAULI_X, PAULI_Z, DensityMatrix, expand_operator
 
     pairs = tensor(werner(0.9), werner(0.9))

@@ -10,17 +10,14 @@ from qrepsim import (
     GateNoiseParams,
     IDEAL_OPS,
     LinkParams,
-    PSI_PLUS,
     bell_measurement,
-    bell_state,
     optimize_plan,
-    purify_n_rounds,
     rate_vs_distance,
     t_repe,
-    tensor,
-    werner,
 )
 from qrepsim.chain import chain_fidelity_table
+from qrepsim.purify import purify_n_rounds
+from qrepsim.states import PSI_PLUS, bell_state, tensor, werner
 
 NOISY = GateNoiseParams()
 PIPELINED = LinkParams(herald_mode="pipelined")
@@ -40,9 +37,8 @@ def test_ideal_swap_of_perfect_pairs():
 
 def test_feedforward_branch_equivalence():
     # every corrected outcome branch is the same end-to-end state
-    from qrepsim import noisy_measure_z
     from qrepsim.states import HADAMARD, PAULI_X, PAULI_Z, DensityMatrix, expand_operator
-    from qrepsim.noise import noisy_two_qubit_gate
+    from qrepsim.noise import noisy_measure_z, noisy_two_qubit_gate
 
     pairs = tensor(werner(0.95), werner(0.95))
     rho = noisy_two_qubit_gate(pairs, "cnot", (1, 2), IDEAL_OPS)

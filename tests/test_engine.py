@@ -22,13 +22,11 @@ from qrepsim import (
     PurificationError,
     bell_measurement,
     purify_ladder_weights,
-    purify_n_rounds,
-    purify_round,
     purify_round_weights,
     qc_zone_state,
-    tensor,
-    to_bell_diagonal,
 )
+from qrepsim.purify import purify_n_rounds, purify_round
+from qrepsim.states import tensor, to_bell_diagonal
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)

@@ -4,8 +4,6 @@ import pytest
 from qrepsim import (
     CavityParams,
     LinkParams,
-    PSI_PLUS,
-    bell_state,
     expected_esta,
     herald_success,
     heralded_state,
@@ -14,6 +12,7 @@ from qrepsim import (
     reflection_amplitude,
 )
 from qrepsim.link import cz_success
+from qrepsim.states import PSI_PLUS, bell_state
 
 
 def test_reflection_uncoupled_default():

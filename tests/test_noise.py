@@ -2,24 +2,26 @@ import numpy as np
 import pytest
 
 import oracle
-from qrepsim import (
-    GateNoiseParams,
-    IDEAL_OPS,
+from qrepsim import GateNoiseParams, IDEAL_OPS
+from qrepsim.link import qc_zone_state, LinkParams
+from qrepsim.noise import (
+    gate_noise_channel,
+    noisy_measure_z,
+    noisy_two_qubit_gate,
+    swap_gate,
+    transport_channel,
+)
+from qrepsim.states import (
+    CNOT,
     PSI_PLUS,
     bell_state,
     computational_state,
+    expand_operator,
     fidelity_bell,
-    noisy_measure_z,
-    noisy_two_qubit_gate,
     partial_trace,
-    swap_gate,
     tensor,
-    transport_channel,
     werner,
 )
-from qrepsim.link import qc_zone_state, LinkParams
-from qrepsim.noise import gate_noise_channel
-from qrepsim.states import CNOT, expand_operator
 
 
 def test_ideal_cnot_equals_unitary():
@@ -30,7 +32,7 @@ def test_ideal_cnot_equals_unitary():
 
 
 def test_noisy_cz_on_plus_plus():
-    from qrepsim import DensityMatrix
+    from qrepsim.states import DensityMatrix
 
     plus = np.ones((2, 2)) / 2
     rho = DensityMatrix.from_matrix(np.kron(plus, plus))

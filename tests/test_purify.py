@@ -6,17 +6,12 @@ from qrepsim import (
     BellDiagonalState,
     GateNoiseParams,
     IDEAL_OPS,
-    PSI_PLUS,
     PurificationError,
-    bell_state,
-    fidelity_bell,
     fixed_point_fidelity,
-    purify_n_rounds,
-    purify_round,
     purify_round_weights,
-    to_bell_diagonal,
-    werner,
 )
+from qrepsim.purify import purify_n_rounds, purify_round
+from qrepsim.states import PSI_PLUS, bell_state, fidelity_bell, to_bell_diagonal, werner
 
 NOISY = GateNoiseParams(f_op=0.995, eta_meas=0.99)
 
@@ -83,8 +78,9 @@ def test_fast_path_equals_full_simulation():
 
 def test_branch_symmetry_for_bell_diagonal_inputs():
     # accepted 00 and 11 branches give the same normalized kept state
-    from qrepsim import noisy_measure_z, noisy_two_qubit_gate, tensor
+    from qrepsim.noise import noisy_measure_z, noisy_two_qubit_gate
     from qrepsim.purify import balance_errors
+    from qrepsim.states import tensor
 
     rho = tensor(werner(0.91), werner(0.85))
     rho = balance_errors(rho)
@@ -216,7 +212,7 @@ def test_degenerate_round_raises():
 
 
 def test_round_input_validation():
-    from qrepsim import maximally_mixed
+    from qrepsim.states import maximally_mixed
 
     with pytest.raises(ValueError):
         purify_round(bell_state(PSI_PLUS), maximally_mixed(1), IDEAL_OPS)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from qrepsim import (
-    BELL_LABELS,
+from qrepsim import BELL_LABELS, BellDiagonalState
+from qrepsim.states import (
+    CNOT,
+    HADAMARD,
     PHI_MINUS,
     PHI_PLUS,
     PSI_MINUS,
     PSI_PLUS,
-    BellDiagonalState,
     DensityMatrix,
     KrausChannel,
     PhysicalityError,
@@ -15,6 +16,7 @@ from qrepsim import (
     bell_state,
     computational_state,
     depolarizing_channel,
+    expand_operator,
     fidelity_bell,
     identity_channel,
     maximally_mixed,
@@ -25,7 +27,6 @@ from qrepsim import (
     unitary_channel,
     werner,
 )
-from qrepsim.states import CNOT, HADAMARD, expand_operator
 
 ALGEBRA_ATOL = 1e-12
 
