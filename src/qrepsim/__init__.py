@@ -38,7 +38,6 @@ from .schedule import (
     t_puri,
 )
 from .chain import (
-    ChainParams,
     ChainPlan,
     bell_measurement,
     optimize_plan,

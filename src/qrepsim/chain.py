@@ -1,11 +1,13 @@
 """End-to-end entanglement across a chain of repeater stations.
 
 A chain of M stations (M-1 a power of two) swaps its per-link e-bits in
-m = log2(M-1) pairwise levels. Each Bell measurement is a noisy CNOT on the
-two middle qubits, an ideal Hadamard, two noisy readouts, and the
-outcome-conditioned Pauli correction on the far end; the engine applies it
-to four float Bell weights in closed form. Purification runs before the swaps (N1
-rounds per link) and after them (N2 rounds end to end), and the total time
+m = log2(M-1) pairwise levels; ``check_stations`` checks M and returns m.
+A query is arguments: M, the length L, FC and the fidelity target. Each
+Bell measurement is a noisy CNOT on the two middle qubits, an ideal
+Hadamard, two noisy readouts, and the outcome-conditioned Pauli correction
+on the far end; the engine applies it to four float Bell weights in closed
+form. Purification runs before the swaps (N1 rounds per link) and after
+them (N2 rounds end to end), and the total time
 
     T_QR(N1, N2) = max( 2^N2 * (T_EG(N1) + T_repe),
                         sum_k (T_proj / P_puri_k + L/c) )
@@ -42,10 +44,13 @@ from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zon
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
 from .schedule import OperationTimings, classical_delay_us, t_puri
-from .states import BellDiagonalState, check_finite, check_positive
+from .states import BellDiagonalState, check_positive
 # purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
 from .purify import purify_n_rounds  # noqa: F401
 from .states import expand_operator  # noqa: F401
+
+
+FIDELITY_TARGET = 0.99  # the default end-to-end target, of a query and of the config key
 
 
 def check_fidelity_target(value: float) -> None:
@@ -54,29 +59,26 @@ def check_fidelity_target(value: float) -> None:
         raise ValueError("fidelity_target must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    m_stations: int
-    total_length_km: float
-    fidelity_target: float = 0.99
-    fc_enabled: bool = False
+def check_stations(m_stations: int) -> int:
+    """Swap levels of an M-station chain; M is an integer >= 2 with M - 1 a power of two."""
+    if not isinstance(m_stations, (int, np.integer)):
+        raise ValueError(f"m_stations must be an integer, got {m_stations}")
+    if m_stations < 2:
+        raise ValueError("a chain needs at least two stations")
+    hops = m_stations - 1
+    if hops & (hops - 1):
+        raise ValueError(f"m_stations - 1 must be a power of two, got {hops}")
+    return int(math.log2(hops))
 
-    def __post_init__(self):
-        check_finite(self)
-        if self.m_stations < 2:
-            raise ValueError("a chain needs at least two stations")
-        hops = self.m_stations - 1
-        if hops & (hops - 1):
-            raise ValueError(
-                f"m_stations - 1 must be a power of two, got {self.m_stations - 1}"
-            )
-        if self.total_length_km <= 0:
-            raise ValueError("total_length_km must be positive")
-        check_fidelity_target(self.fidelity_target)
 
-    @property
-    def n_swap_levels(self) -> int:
-        return int(math.log2(self.m_stations - 1))
+def _check_query(total_length_km: float, fidelity_target: float) -> None:
+    """Check a chain's length and target: both finite first, then each in its range."""
+    for name, value in (("total_length_km", total_length_km), ("fidelity_target", fidelity_target)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if total_length_km <= 0:
+        raise ValueError("total_length_km must be positive")
+    check_fidelity_target(fidelity_target)
 
 
 @dataclass(frozen=True)
@@ -171,23 +173,22 @@ def _first_rejected(column) -> int:
 
 def _rows(
     lengths,
-    chains: list[ChainParams],
+    stations,
     fc_modes,
     cavity: CavityParams,
     link_template: LinkParams,
     timings_template: OperationTimings,
 ) -> list[tuple]:
-    """Columns (chain, fc, stage time, l/c, L/c, T_repe) over the sorted ``lengths``, in us.
+    """Columns (M, fc, stage time, l/c, L/c, T_repe) over the sorted ``lengths``, in us.
 
-    ``chains`` (one validated chain per station count, its length unused)
-    and ``fc_modes`` come sorted; entries are in (M, fc) order. Like the
-    length, each FC mode is an argument of ``expected_esta``. A row is
-    rejected where its link length (so also L) or T_esta is not finite and
-    positive. T_esta is computed only before the first rejected link length,
+    ``stations`` (each checked by ``check_stations``) and ``fc_modes`` come
+    sorted; entries are in (M, fc) order. Like the length, each FC mode is
+    an argument of ``expected_esta``. A row is rejected where its link
+    length (so also L) or T_esta is not finite and positive. T_esta is computed only before the first rejected link length,
     so no rejected row reaches the power of ten; the first rejected length,
     as the caller gave it, runs again through the scalar checks, which raise.
     """
-    if not (chains and fc_modes):
+    if not (stations and fc_modes):
         return []  # no rows, so nothing to check
     t_proj = timings_template.t_proj_us
     columns = []
@@ -195,21 +196,21 @@ def _rows(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         total = np.array(lengths, dtype=float)
         lc_total = classical_delay_us(total)
-        link_lengths = [total / (chain.m_stations - 1) for chain in chains]
+        link_lengths = [total / (m_stations - 1) for m_stations in stations]
         first = min(map(_first_rejected, link_lengths))
-        for chain, link_km in zip(chains, link_lengths):
+        for m_stations, link_km in zip(stations, link_lengths):
             lc_link = classical_delay_us(link_km)
-            repe = t_repe(t_proj, total) if chain.n_swap_levels else np.zeros_like(total)
+            repe = t_repe(t_proj, total) if m_stations > 2 else np.zeros_like(total)
             for fc in fc_modes:
                 t_esta = expected_esta(cavity, link_template, link_km[:first], fc)[1]
                 first = min(first, _first_rejected(t_esta))
                 stage = timings_template.stage_time_us(t_esta)
-                columns.append((chain, fc, stage, lc_link, lc_total, repe))
+                columns.append((m_stations, fc, stage, lc_link, lc_total, repe))
         if first < len(total):
             length = lengths[first]
             check_positive("total_length_km", length)
-            for chain in chains:
-                link_km = length / (chain.m_stations - 1)
+            for m_stations in stations:
+                link_km = length / (m_stations - 1)
                 check_positive("length_km", link_km)
                 for fc in fc_modes:
                     timings_template.stage_time_us(
@@ -240,7 +241,7 @@ def _search(
     """
     if n_max > len(table.pre_swap_p):
         raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
-    chain, fc, stage, lc_link, lc_total, repe = column
+    m_stations, fc, stage, lc_link, lc_total, repe = column
     n = n_max + 1
     end_f = np.array(table.end_fidelities)[:n, :n]
     feasible = end_f >= fidelity_target - 1e-12
@@ -274,42 +275,45 @@ def _search(
         best[:], rate = n2 * n + n1, best_t
     best_n2, best_n1 = np.divmod(best, n)
     return list(zip(
-        repeat(chain.m_stations), lengths, repeat(fc), repeat(fidelity_target),
+        repeat(m_stations), lengths, repeat(fc), repeat(fidelity_target),
         best_n1.tolist(), best_n2.tolist(), end_f[best_n1, best_n2].tolist(), best_t.tolist(),
         rate.tolist(), repeat(any_feasible),
     ))
 
 
 def optimize_plan(
-    chain: ChainParams,
+    m_stations: int,
+    total_length_km: float,
     cavity: CavityParams,
     link_template: LinkParams,
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
     n_max: int = 8,
     table: ChainFidelityTable | None = None,
+    *,
+    fc: bool = False,
+    fidelity_target: float = FIDELITY_TARGET,
 ) -> ChainPlan:
     """Exhaustive (N1, N2) search minimizing T_QR at the fidelity target.
 
-    This is the row building and array search of ``rate_vs_distance`` on one
-    row. N1 and N2 range over 0..n_max; ``table`` may hold more rounds than
-    that, and is built from the chain's zone state when omitted. Ties in
-    T_QR prefer fewer post-swap rounds, then fewer pre-swap rounds. An
-    infeasible target returns feasible=False, zero T_QR and rate, and the
-    first best fidelity in N1-major order. A feasible best plan whose T_QR
-    overflows to infinity raises ValueError.
+    This is ``plan_rows`` on one row: the same checks in the same order,
+    then the same row building and array search. N1 and N2 range over
+    0..n_max; ``table`` may hold more rounds than that, and is built from
+    the zone state when omitted. Ties in T_QR prefer fewer post-swap
+    rounds, then fewer pre-swap rounds. An infeasible target returns
+    feasible=False, zero T_QR and rate, and the first best fidelity in
+    N1-major order. A feasible best plan whose T_QR overflows to infinity
+    raises ValueError.
     """
-    lengths = [chain.total_length_km]
-    (column,) = _rows(
-        lengths, [chain], [chain.fc_enabled], cavity, link_template, timings_template
-    )
+    n_swap_levels = check_stations(m_stations)
+    _check_query(total_length_km, fidelity_target)
+    lengths = [total_length_km]
+    (column,) = _rows(lengths, [m_stations], [fc], cavity, link_template, timings_template)
     if table is None:
         table = chain_fidelity_table(
-            qc_zone_state(link_template, noise), chain.n_swap_levels, noise, n_max
+            qc_zone_state(link_template, noise), n_swap_levels, noise, n_max
         )
-    return ChainPlan(
-        *_search(lengths, column, chain.fidelity_target, timings_template, table, n_max)[0]
-    )
+    return ChainPlan(*_search(lengths, column, fidelity_target, timings_template, table, n_max)[0])
 
 
 def plan_rows(
@@ -320,23 +324,19 @@ def plan_rows(
     link_template: LinkParams,
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
-    fidelity_target: float = 0.99,
+    fidelity_target: float = FIDELITY_TARGET,
     n_max: int = 8,
 ) -> list[tuple]:
     """Plans of ``rate_vs_distance`` as tuples in ``ChainPlan`` field order."""
     initial = qc_zone_state(link_template, noise)
-    chains = {m_stations: ChainParams(m_stations, 1.0) for m_stations in stations}
-    levels = {chain.n_swap_levels for chain in chains.values()}
-    tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in levels}
+    levels = {m_stations: check_stations(m_stations) for m_stations in stations}
+    tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in set(levels.values())}
     lengths, stations, fc_modes = sorted(distances_km), sorted(stations), sorted(fc_modes)
     if lengths and stations and fc_modes:
-        # the first row's chain checks its length and the target, in ChainParams' order
-        ChainParams(stations[0], lengths[0], fidelity_target=fidelity_target)
-    columns = _rows(
-        lengths, [chains[m] for m in stations], fc_modes, cavity, link_template, timings_template
-    )
+        _check_query(lengths[0], fidelity_target)  # the first row's, before any column is built
+    columns = _rows(lengths, stations, fc_modes, cavity, link_template, timings_template)
     plans = [
-        _search(lengths, c, fidelity_target, timings_template, tables[c[0].n_swap_levels], n_max)
+        _search(lengths, c, fidelity_target, timings_template, tables[levels[c[0]]], n_max)
         for c in columns
     ]
     return [plan for same_length in zip(*plans) for plan in same_length]
@@ -350,7 +350,7 @@ def rate_vs_distance(
     link_template: LinkParams,
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
-    fidelity_target: float = 0.99,
+    fidelity_target: float = FIDELITY_TARGET,
     n_max: int = 8,
 ) -> list[ChainPlan]:
     """Optimized plans over a (distance, station count, FC) grid.

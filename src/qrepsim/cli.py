@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .chain import ChainParams, optimize_plan, plan_rows
+from .chain import optimize_plan, plan_rows
 from .config import Config, ConfigError, load_config, records
 from .link import link_budget
 from .noise import IDEAL_OPS
@@ -145,13 +145,9 @@ def _plan_row(plan: tuple) -> tuple:
 
 def cmd_chain(config: Config, args) -> int:
     target = config.fidelity_target if args.target is None else args.target
-    chain = ChainParams(
-        m_stations=args.stations,
-        total_length_km=args.distance_km,
-        fidelity_target=target,
-        fc_enabled=args.fc,
+    plan = optimize_plan(
+        args.stations, args.distance_km, *records(config), fc=args.fc, fidelity_target=target
     )
-    plan = optimize_plan(chain, *records(config))
     fields = tuple(vars(plan).values())  # in ChainPlan field order; astuple deep-copies
     emit(args.out, args.format, _PLAN_COLUMNS, [_plan_row(fields)], config)
     return 0 if plan.feasible else 3

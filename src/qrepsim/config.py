@@ -6,16 +6,17 @@ empty file is a valid configuration. Rate-like entries are in 2*pi MHz,
 durations in microseconds, distances in km and losses in dB.
 The keys are the fields of the parameter records, in record order, then
 the chain's ``fidelity_target``; ``Config`` is built from those fields, so
-each key's type and default live in the record alone. Per-query values
-(the chain's stations and length, FC) are arguments, not keys. ``records``
-fills the records, which check the ranges.
+each key's type and default live in the record alone, and the target's
+default in ``chain.FIDELITY_TARGET``. Per-query values (the chain's
+stations and length, FC) are arguments, not keys. ``records`` fills the
+records, which check the ranges.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, make_dataclass
 
-from .chain import ChainParams, check_fidelity_target
+from .chain import FIDELITY_TARGET, check_fidelity_target
 from .link import CavityParams, LinkParams
 from .noise import GateNoiseParams
 from .schedule import OperationTimings
@@ -29,11 +30,10 @@ class ConfigError(ValueError):
 
 
 # the keys in echo order: every record's fields, then the chain's target
-_KEYS = [f for record in _RECORDS for f in fields(record)]
-_KEYS += [f for f in fields(ChainParams) if f.name == "fidelity_target"]
+_KEYS = [(f.name, f.type, f.default) for record in _RECORDS for f in fields(record)]
 Config = make_dataclass(
     "Config",
-    [(f.name, f.type, f.default) for f in _KEYS],
+    [*_KEYS, ("fidelity_target", "float", FIDELITY_TARGET)],
     frozen=True,
     namespace={"__module__": __name__},  # make_dataclass's module argument needs Python 3.12
 )

@@ -205,6 +205,7 @@ def purify_ladder_weights(
 
 def fixed_point_fidelity(
     params: GateNoiseParams,
+    *,
     tolerance: float = 1e-9,
     max_rounds: int = 64,
     seed_fidelity: float = 0.95,

@@ -10,7 +10,6 @@ import oracle
 from qrepsim import (
     BellDiagonalState,
     CavityParams,
-    ChainParams,
     GateNoiseParams,
     IDEAL_OPS,
     LinkParams,
@@ -259,10 +258,7 @@ def test_criterion_9_distance_trends():
     anchor_text = []
     for m_stations, length, fc, target_hz, label in anchors:
         plan = optimize_plan(
-            ChainParams(m_stations, length, fidelity_target=0.99, fc_enabled=fc),
-            cavity,
-            PIPELINED,
-            NOISY,
+            m_stations, length, cavity, PIPELINED, NOISY, fc=fc, fidelity_target=0.99
         )
         anchor_text.append(f"{label}: {plan.rate_hz:.2f} Hz")
         checks[f"{label} within 10x of {target_hz:g} Hz"] = (

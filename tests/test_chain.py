@@ -6,7 +6,6 @@ import oracle
 from qrepsim import (
     BellDiagonalState,
     CavityParams,
-    ChainParams,
     GateNoiseParams,
     IDEAL_OPS,
     LinkParams,
@@ -15,7 +14,7 @@ from qrepsim import (
     rate_vs_distance,
     t_repe,
 )
-from qrepsim.chain import chain_fidelity_table
+from qrepsim.chain import chain_fidelity_table, check_stations
 from qrepsim.purify import purify_n_rounds
 from qrepsim.states import PSI_PLUS, bell_state, tensor, werner
 
@@ -88,7 +87,7 @@ def test_bell_measurement_arity():
 
 def _end_fidelity(m_stations, initial, params):
     """End-to-end fidelity after the swap levels of an M-station chain, no purification."""
-    levels = ChainParams(m_stations, 1.0).n_swap_levels
+    levels = check_stations(m_stations)
     return chain_fidelity_table(initial, levels, params, n_max=0).end_fidelities[0][0]
 
 
@@ -134,12 +133,22 @@ def test_chain_fidelity_table_matches_dense_composition():
 
 def test_chain_params_validation():
     with pytest.raises(ValueError):
-        ChainParams(4, 1.0)  # M - 1 = 3 is not a power of two
+        check_stations(4)  # M - 1 = 3 is not a power of two
     with pytest.raises(ValueError):
-        ChainParams(1, 1.0)
+        check_stations(1)
     with pytest.raises(ValueError):
-        ChainParams(2, 0.0)
-    assert ChainParams(17, 10.0).n_swap_levels == 4
+        optimize_plan(2, 0.0, CavityParams(), LinkParams(), NOISY)
+    assert check_stations(17) == 4
+    assert check_stations(np.int64(17)) == 4
+
+
+@pytest.mark.parametrize("m_stations", [3.0, 2.5, np.float64(5.0), "5"])
+def test_a_station_count_that_is_not_an_integer_is_a_named_error(m_stations):
+    message = f"^m_stations must be an integer, got {m_stations}$"
+    with pytest.raises(ValueError, match=message):
+        rate_vs_distance([1.0], [m_stations], (False,), CavityParams(), LinkParams(), NOISY)
+    with pytest.raises(ValueError, match=message):
+        optimize_plan(m_stations, 1.0, CavityParams(), LinkParams(), NOISY)
 
 
 def test_t_repe_examples():
@@ -149,9 +158,7 @@ def test_t_repe_examples():
 
 
 def test_optimize_plan_two_nodes():
-    plan = optimize_plan(
-        ChainParams(2, 0.1, fidelity_target=0.99), CavityParams(), LinkParams(), NOISY
-    )
+    plan = optimize_plan(2, 0.1, CavityParams(), LinkParams(), NOISY, fidelity_target=0.99)
     assert plan.feasible
     assert plan.n1 == 4 and plan.n2 == 0
     assert plan.f_m >= 0.99
@@ -159,25 +166,23 @@ def test_optimize_plan_two_nodes():
 
 
 def test_optimize_plan_infeasible_target():
-    plan = optimize_plan(
-        ChainParams(2, 0.1, fidelity_target=0.9999), CavityParams(), LinkParams(), NOISY
-    )
+    plan = optimize_plan(2, 0.1, CavityParams(), LinkParams(), NOISY, fidelity_target=0.9999)
     assert not plan.feasible
     assert plan.rate_hz == 0.0
     assert 0.99 < plan.f_m < 0.9999  # best achievable is the plateau
 
 
 def test_optimize_plan_deterministic():
-    chain = ChainParams(5, 25.0, fidelity_target=0.99)
-    a = optimize_plan(chain, CavityParams(), PIPELINED, NOISY)
-    b = optimize_plan(chain, CavityParams(), PIPELINED, NOISY)
+    chain = (5, 25.0, CavityParams(), PIPELINED, NOISY)
+    a = optimize_plan(*chain, fidelity_target=0.99)
+    b = optimize_plan(*chain, fidelity_target=0.99)
     assert a == b
 
 
 def test_optimize_plan_larger_search_never_worse():
-    chain = ChainParams(5, 25.0, fidelity_target=0.99)
-    small = optimize_plan(chain, CavityParams(), PIPELINED, NOISY, n_max=5)
-    large = optimize_plan(chain, CavityParams(), PIPELINED, NOISY, n_max=8)
+    chain = (5, 25.0, CavityParams(), PIPELINED, NOISY)
+    small = optimize_plan(*chain, n_max=5, fidelity_target=0.99)
+    large = optimize_plan(*chain, n_max=8, fidelity_target=0.99)
     assert large.t_qr_us <= small.t_qr_us + 1e-9
 
 

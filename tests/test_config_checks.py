@@ -4,7 +4,15 @@ from dataclasses import fields
 
 import pytest
 
-from qrepsim import ChainParams, Config, ConfigError, parse_config
+from qrepsim import (
+    CavityParams,
+    Config,
+    ConfigError,
+    GateNoiseParams,
+    LinkParams,
+    optimize_plan,
+    parse_config,
+)
 from qrepsim.cli import main
 
 
@@ -18,7 +26,7 @@ def test_config_and_chain_reject_a_target_with_one_message():
     with pytest.raises(ConfigError, match=message):
         parse_config("fidelity_target = 1.0")
     with pytest.raises(ValueError, match=message):
-        ChainParams(2, 1.0, fidelity_target=1.0)
+        optimize_plan(2, 1.0, CavityParams(), LinkParams(), GateNoiseParams(), fidelity_target=1.0)
 
 
 def test_cli_config_file_not_utf8(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from qrepsim import (
     CavityParams,
-    ChainParams,
     Config,
     ConfigError,
     GateNoiseParams,
@@ -13,6 +12,7 @@ from qrepsim import (
     OperationTimings,
     parse_config,
 )
+from qrepsim.chain import FIDELITY_TARGET
 from qrepsim.cli import main
 from qrepsim.config import load_config, records
 from test_golden import EVERY_KEY
@@ -80,7 +80,7 @@ def test_config_keys_are_the_record_fields():
     # the keys in record order, then the chain's target: also the config echo's order
     assert list(vars(Config())) == [*names, "fidelity_target"]
     assert records(Config()) == tuple(record() for record in RECORDS)
-    assert ChainParams(5, 1.0).fidelity_target == Config().fidelity_target
+    assert FIDELITY_TARGET == Config().fidelity_target
 
 
 def test_config_is_a_frozen_dataclass_of_the_config_module():
@@ -197,6 +197,17 @@ def test_cli_chain_rejects_bad_station_count(capsys):
     assert main(["chain", "--stations", "4", "--distance-km", "1.0"]) == 2
 
 
+@pytest.mark.parametrize("m_stations", ["0", "1", "4", "6", "10"])
+def test_chain_and_sweep_reject_a_station_count_with_one_message(capsys, m_stations):
+    assert main(["chain", "--stations", m_stations, "--distance-km", "10"]) == 2
+    chain = capsys.readouterr()
+    assert main(["sweep", "--stations", m_stations]) == 2
+    sweep = capsys.readouterr()
+    assert chain.out == sweep.out == ""
+    assert chain.err == sweep.err
+    assert chain.err.startswith("error: ") and chain.err.count("\n") == 1
+
+
 def test_cli_sweep_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     assert (
@@ -307,7 +318,7 @@ def test_cli_rejects_non_finite_config(tmp_path, capsys, line, argv):
 
 
 def test_params_reject_non_finite():
-    from qrepsim import CavityParams, ChainParams, LinkParams, OperationTimings
+    from qrepsim import CavityParams, LinkParams, OperationTimings, optimize_plan
 
     nan, inf = float("nan"), float("inf")
     for build in (
@@ -316,7 +327,7 @@ def test_params_reject_non_finite():
         lambda: LinkParams(fiber_index=nan),
         lambda: OperationTimings(t_proj_us=nan),
         lambda: OperationTimings().stage_time_us(inf),
-        lambda: ChainParams(5, nan),
+        lambda: optimize_plan(5, nan, CavityParams(), LinkParams(), GateNoiseParams()),
     ):
         with pytest.raises(ValueError, match="must be finite"):
             build()

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 import scalar_search
 from qrepsim import (
     CavityParams,
-    ChainParams,
     GateNoiseParams,
     LinkParams,
     OperationTimings,
@@ -33,7 +32,7 @@ from qrepsim import (
     qc_zone_state,
     rate_vs_distance,
 )
-from qrepsim.chain import ChainFidelityTable, chain_fidelity_table
+from qrepsim.chain import ChainFidelityTable, chain_fidelity_table, check_stations
 from qrepsim.cli import main
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -79,7 +78,7 @@ def _target(spec, link, noise, m_stations, n_max):
     if not isinstance(spec, tuple):
         return spec
     table = chain_fidelity_table(
-        qc_zone_state(link, noise), ChainParams(m_stations, 1.0).n_swap_levels, noise, n_max
+        qc_zone_state(link, noise), check_stations(m_stations), noise, n_max
     )
     cells = sorted(f for row in table.end_fidelities[: n_max + 1] for f in row[: n_max + 1])
     return cells[spec[1] % len(cells)]
@@ -197,36 +196,49 @@ def test_rate_vs_distance_raises_the_first_failing_rows_error(
     assert _observed(_outcome(rate_vs_distance, *args, **kwargs)) == expected
 
 
-@PROPERTY
+@settings(PROPERTY, max_examples=240)  # about 100 of the queries then return a plan
 @given(
     design=designs(),
-    length=lengths,
-    m_stations=stations,
+    length=st.one_of(lengths, bad_lengths),
+    m_stations=st.one_of(stations, st.sampled_from([1, 4])),
     fc=st.booleans(),
-    target=targets,
+    target=st.one_of(targets, bad_targets),
     n_max=st.integers(0, 8),
     shared_table=st.booleans(),
 )
 @example(DEFAULTS, 1010.0, 2, False, 0.99, 8, False)
 @example(DEFAULTS, 1010.0, 2, False, 0.99, 5, True)
+# failing inputs alone and together: M first, then L or the target not finite, then L <= 0, then
+# the target out of range; at 1100 km herald success underflows to 0 (ZeroDivisionError)
+@example(DEFAULTS, 25.0, 4, False, 0.99, 8, False)
+@example(DEFAULTS, math.nan, 1, False, 1.5, 8, False)
+@example(DEFAULTS, -5.0, 5, False, 0.99, 8, True)
+@example(DEFAULTS, 25.0, 5, False, 1.5, 8, False)
+@example(DEFAULTS, -5.0, 5, False, math.nan, 8, False)
+@example(DEFAULTS, -5.0, 5, False, 1.0, 8, False)
+@example(DEFAULTS, 1100.0, 2, False, 0.99, 8, False)
 def test_optimize_plan_equals_scalar_search(
     design, length, m_stations, fc, target, n_max, shared_table
 ):
     link, noise, timings = design
-    target = _target(target, link, noise, m_stations, n_max)
-    chain = _outcome(ChainParams, m_stations, length, fidelity_target=target, fc_enabled=fc)
-    if isinstance(chain, tuple):
-        return  # a target of 1.0 is rejected before any search
+    levels = _outcome(check_stations, m_stations)
+    if isinstance(levels, tuple):  # M fails before the target is read
+        target = 0.99 if isinstance(target, tuple) else target
+    else:
+        target = _target(target, link, noise, m_stations, n_max)
     # an 8-round table searched only up to n_max, or a table built for n_max
     table = None
-    if shared_table:
-        link_km = chain.total_length_km / (chain.m_stations - 1)
-        zone = qc_zone_state(replace(link, length_km=link_km), noise)
-        table = chain_fidelity_table(zone, chain.n_swap_levels, noise, 8)
-    args = (chain, CavityParams(), link, noise, timings)
-    kwargs = dict(n_max=n_max, table=table)
+    if shared_table and not isinstance(levels, tuple):
+        table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise, 8)
+    args = (m_stations, length, CavityParams(), link, noise, timings)
+    kwargs = dict(n_max=n_max, table=table, fc=fc, fidelity_target=target)
     reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
-    assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
+    plan = _observed(_outcome(optimize_plan, *args, **kwargs))
+    assert plan == _expected(reference)
+    # the same query as a one-row grid
+    grid = ([length], [m_stations], (fc,), *args[2:])
+    row = _outcome(rate_vs_distance, *grid, fidelity_target=target, n_max=n_max)
+    assert _observed(row) == (plan if isinstance(plan, tuple) else [plan])
 
 
 @st.composite
@@ -271,10 +283,10 @@ def built_tables(draw):
 def test_search_equals_scalar_search_on_built_tables(
     table, length, m_stations, fc, t_proj_us, target, offset, n_max
 ):
-    chain = ChainParams(m_stations, length, fidelity_target=target + offset, fc_enabled=fc)
     timings = OperationTimings(t_proj_us=t_proj_us)
-    args = (chain, CavityParams(), LinkParams(), GateNoiseParams(), timings)
+    args = (m_stations, length, CavityParams(), LinkParams(), GateNoiseParams(), timings)
     kwargs = dict(n_max=min(n_max, len(table.pre_swap_p)), table=table)
+    kwargs.update(fc=fc, fidelity_target=target + offset)
     reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
     assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
 
@@ -289,8 +301,8 @@ def test_search_equals_scalar_search_on_built_tables(
     ],
 )
 def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
-    args = (ChainParams(2, 0.1, fidelity_target=0.99), CavityParams(), LinkParams())
-    args += (GateNoiseParams(), OperationTimings(t_proj_us=t_proj_us))
+    args = (2, 0.1, CavityParams(), LinkParams(), GateNoiseParams())
+    args += (OperationTimings(t_proj_us=t_proj_us),)
 
     def search(feasible_cells):
         end_f = tuple(
@@ -299,8 +311,8 @@ def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
         )
         table = ChainFidelityTable((0.9, 0.95), (1.0,), end_f, ((p_post,), (p_post,)))
         return (
-            optimize_plan(*args, n_max=1, table=table),
-            scalar_search.optimize_plan(*args, n_max=1, table=table),
+            optimize_plan(*args, n_max=1, table=table, fidelity_target=0.99),
+            scalar_search.optimize_plan(*args, n_max=1, table=table, fidelity_target=0.99),
         )
 
     alone = [search({cell})[0] for cell in cells]

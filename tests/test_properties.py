@@ -31,14 +31,13 @@ import scalar_search
 from qrepsim import (
     BellDiagonalState,
     CavityParams,
-    ChainParams,
     GateNoiseParams,
     LinkParams,
     OperationTimings,
     rate_fidelity_curve,
     rate_vs_distance,
 )
-from qrepsim.chain import chain_fidelity_table
+from qrepsim.chain import chain_fidelity_table, check_stations
 from qrepsim import cli
 from qrepsim.cli import build_parser, main
 from qrepsim.link import expected_esta, qc_zone_state
@@ -96,10 +95,11 @@ def test_optimal_rate_never_rises_with_distance(design, distances, m_stations, f
 
 def _t_qr_cells(design, m_stations, fc, length_km, table):
     link, _, timings = design
-    chain = ChainParams(m_stations, length_km, fc_enabled=fc)
     link = replace(link, length_km=length_km / (m_stations - 1))
     _, t_esta_us = expected_esta(CavityParams(), link, link.length_km, fc)
-    return scalar_search.t_qr_cells(chain, link.length_km, t_esta_us, timings, table)
+    return scalar_search.t_qr_cells(
+        m_stations, length_km, link.length_km, t_esta_us, timings, table
+    )
 
 
 @PROPERTY
@@ -111,7 +111,7 @@ def _t_qr_cells(design, m_stations, fc, length_km, table):
 )
 def test_every_t_qr_cell_is_non_decreasing_in_distance(design, m_stations, fc, distances):
     link, noise, _ = design
-    levels = ChainParams(m_stations, 1.0).n_swap_levels
+    levels = check_stations(m_stations)
     table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise)
     near, far = (_t_qr_cells(design, m_stations, fc, d, table) for d in distances)
     assert len(near) == 81
@@ -131,7 +131,7 @@ def _up_to_one(lo):
     m_stations=stations,
 )
 def test_end_fidelity_does_not_fall_as_operations_improve(link, f_move, f_ops, etas, m_stations):
-    levels = ChainParams(m_stations, 1.0).n_swap_levels
+    levels = check_stations(m_stations)
     f_lo, f_hi = sorted(f_ops)
     eta_lo, eta_hi = sorted(etas)
 

@@ -151,6 +151,14 @@ def test_fixed_point_ideal_is_one():
     assert fixed_point_fidelity(IDEAL_OPS, tolerance=1e-12) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_fixed_point_options_are_keywords():
+    # a state passed first took the noise record's place: AttributeError on its f_op
+    with pytest.raises(TypeError):
+        fixed_point_fidelity(BellDiagonalState.werner(0.95), NOISY)
+    with pytest.raises(TypeError):
+        fixed_point_fidelity(NOISY, 1e-9)
+
+
 def test_fixed_point_default_noise():
     plateau = fixed_point_fidelity(NOISY)
     assert plateau == pytest.approx(0.99, abs=0.005)
