@@ -17,26 +17,19 @@ N2 = 0 this is exactly T_EG(N1) + T_repe; a degenerate two-station chain
 performs no Bell measurement, so T_repe contributes only for M > 2.
 
 One array search serves a single chain and a whole sweep: the link budget
-and the search run on columns over every length that shares a station
-count and FC mode. T_QR is built over [N2, N1, length] in blocks of rows
-and each length takes its first minimum, so ties in T_QR go to the
-smaller N2, then the smaller N1. A target that no cell meets gives an
-infeasible plan; a feasible best plan whose T_QR overflows to infinity is
-an error (the CLI exits 2), never a feasible row with zero rate.
-
-The columns come from the link budget's own functions on arrays (its
-power of ten stays libm's, element by element), so each value equals the
-scalar one bit for bit. The first rejected length runs again through the
-scalar checks, which raise the first failing row's error in (L, M, fc)
-order. Plans stay tuples in ``ChainPlan`` field order: ``plan_rows`` returns
-them, for the CLI; ``rate_vs_distance`` and ``optimize_plan`` wrap them.
+(``_rows``) and the search (``_search``) run on columns over every length
+that shares a station count and FC mode, and each value equals the scalar
+one bit for bit. A target that no cell meets gives an infeasible plan; a
+feasible best plan whose T_QR overflows to infinity is an error (the CLI
+exits 2), never a feasible row with zero rate. Plans stay columns up to
+the CLI's writer (``plan_columns``); ``rate_vs_distance`` and
+``optimize_plan`` build ``ChainPlan`` rows from them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -184,9 +177,12 @@ def _rows(
     ``stations`` (each checked by ``check_stations``) and ``fc_modes`` come
     sorted; entries are in (M, fc) order. Like the length, each FC mode is
     an argument of ``expected_esta``. A row is rejected where its link
-    length (so also L) or T_esta is not finite and positive. T_esta is computed only before the first rejected link length,
-    so no rejected row reaches the power of ten; the first rejected length,
-    as the caller gave it, runs again through the scalar checks, which raise.
+    length (so also L) or T_esta is not finite and positive. T_esta is
+    computed only before the first rejected link length, so no rejected row
+    reaches the power of ten (which stays libm's, element by element); the
+    first rejected length, as the caller gave it, runs again through the
+    scalar checks, which raise the first failing row's error in (L, M, fc)
+    order.
     """
     if not (stations and fc_modes):
         return []  # no rows, so nothing to check
@@ -223,21 +219,19 @@ _BLOCK = 512  # rows per search block: a [N2, N1, row] array is then 330 KB at n
 
 
 def _search(
-    lengths,
     column: tuple,
     fidelity_target: float,
     timings_template: OperationTimings,
     table: ChainFidelityTable,
     n_max: int,
-) -> list[tuple]:
-    """Best (N1, N2) plan at each length of one ``_rows`` entry, in ``ChainPlan`` field order.
+) -> tuple:
+    """Best plans of one ``_rows`` entry, as columns: (M, fc, feasible, cells, best, t_qr, rate).
 
-    The rows share the table (one swap-level count), the target, and every
-    timing but T_esta, l and L. T_QR is built over [N2, N1, row] in blocks
-    of ``_BLOCK`` rows; each row takes its first minimum in (N2, N1) order,
-    so ties go to the smaller N2, then the smaller N1. The round sums are
-    sequential ``cumsum``s in the scalar formula's order, so each T_QR
-    equals that formula bit for bit. Plans hold the caller's lengths.
+    ``best`` holds each length's cell N2 * (n_max + 1) + N1, ``cells`` maps
+    each cell in it to (N1, N2, f_m), and ``t_qr`` and ``rate`` are floats.
+    T_QR is built over [N2, N1, row] in blocks of ``_BLOCK`` rows, a round at
+    a time in the scalar formula's order, so it equals that formula bit for
+    bit; each row takes its first minimum in (N2, N1) order.
     """
     if n_max > len(table.pre_swap_p):
         raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
@@ -246,7 +240,7 @@ def _search(
     end_f = np.array(table.end_fidelities)[:n, :n]
     feasible = end_f >= fidelity_target - 1e-12
     any_feasible = bool(feasible.any())
-    best, best_t = np.zeros(len(lengths), dtype=int), np.zeros(len(lengths))  # N2 * n + N1, T_QR
+    best, best_t = np.zeros(len(stage), dtype=int), np.zeros(len(stage))  # N2 * n + N1, T_QR
     if any_feasible:
         t_proj = timings_template.t_proj_us
         pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
@@ -255,13 +249,17 @@ def _search(
         infeasible = ~feasible.T  # [N2, N1]
         doubling = 2.0 ** np.arange(n)
         with np.errstate(over="ignore"):
-            for start in range(0, len(lengths), _BLOCK):
+            for start in range(0, len(stage), _BLOCK):
                 rows = slice(start, start + _BLOCK)
                 pre_swap = np.zeros((n, len(stage[rows])))  # [N1, row]
-                np.cumsum(pre_steps[:, None] + lc_link[rows], axis=0, out=pre_swap[1:])
+                steps = pre_steps[:, None] + lc_link[rows]
+                for k in range(n_max):
+                    np.add(pre_swap[k], steps[k], out=pre_swap[k + 1])
                 pair_time = np.maximum(doubling[:, None] * stage[rows], pre_swap) + repe[rows]
+                steps = end_steps[:, :, None] + lc_total[rows]
                 t_qr = np.zeros((n, *pre_swap.shape))  # [N2, N1, row]: purification, then T_QR
-                np.cumsum(end_steps[:, :, None] + lc_total[rows], axis=0, out=t_qr[1:])
+                for k in range(n_max):
+                    np.add(t_qr[k], steps[k], out=t_qr[k + 1])
                 np.maximum(doubling[:, None, None] * pair_time, t_qr, out=t_qr)
                 t_qr[infeasible] = np.inf
                 t_qr = t_qr.reshape(n * n, -1)
@@ -273,12 +271,19 @@ def _search(
     else:  # the first best fidelity, N1-major, at zero T_QR and rate
         n1, n2 = divmod(int(end_f.argmax()), n)
         best[:], rate = n2 * n + n1, best_t
-    best_n2, best_n1 = np.divmod(best, n)
-    return list(zip(
-        repeat(m_stations), lengths, repeat(fc), repeat(fidelity_target),
-        best_n1.tolist(), best_n2.tolist(), end_f[best_n1, best_n2].tolist(), best_t.tolist(),
-        rate.tolist(), repeat(any_feasible),
-    ))
+    best = best.tolist()
+    cells = {c: (c % n, c // n, table.end_fidelities[c % n][c // n]) for c in set(best)}
+    return m_stations, fc, any_feasible, cells, best, best_t.tolist(), rate.tolist()
+
+
+def _chain_plans(lengths, entries, fidelity_target) -> list[ChainPlan]:
+    """The plans of ``plan_columns`` entries, by length, then (M, fc) entry."""
+    by_entry = [
+        [ChainPlan(m_stations, length, fc, fidelity_target, *cells[cell], t_qr, rate, feasible)
+         for length, cell, t_qr, rate in zip(lengths, *columns)]
+        for m_stations, fc, feasible, cells, *columns in entries
+    ]
+    return [plan for same_length in zip(*by_entry) for plan in same_length]
 
 
 def optimize_plan(
@@ -296,27 +301,26 @@ def optimize_plan(
 ) -> ChainPlan:
     """Exhaustive (N1, N2) search minimizing T_QR at the fidelity target.
 
-    This is ``plan_rows`` on one row: the same checks in the same order,
+    This is ``plan_columns`` on one row: the same checks in the same order,
     then the same row building and array search. N1 and N2 range over
     0..n_max; ``table`` may hold more rounds than that, and is built from
     the zone state when omitted. Ties in T_QR prefer fewer post-swap
     rounds, then fewer pre-swap rounds. An infeasible target returns
     feasible=False, zero T_QR and rate, and the first best fidelity in
-    N1-major order. A feasible best plan whose T_QR overflows to infinity
-    raises ValueError.
+    N1-major order; an overflowing feasible T_QR raises ValueError.
     """
     n_swap_levels = check_stations(m_stations)
     _check_query(total_length_km, fidelity_target)
     lengths = [total_length_km]
     (column,) = _rows(lengths, [m_stations], [fc], cavity, link_template, timings_template)
     if table is None:
-        table = chain_fidelity_table(
-            qc_zone_state(link_template, noise), n_swap_levels, noise, n_max
-        )
-    return ChainPlan(*_search(lengths, column, fidelity_target, timings_template, table, n_max)[0])
+        initial = qc_zone_state(link_template, noise)
+        table = chain_fidelity_table(initial, n_swap_levels, noise, n_max)
+    entry = _search(column, fidelity_target, timings_template, table, n_max)
+    return _chain_plans(lengths, [entry], fidelity_target)[0]
 
 
-def plan_rows(
+def plan_columns(
     distances_km,
     stations,
     fc_modes,
@@ -326,8 +330,8 @@ def plan_rows(
     timings_template: OperationTimings = OperationTimings(),
     fidelity_target: float = FIDELITY_TARGET,
     n_max: int = 8,
-) -> list[tuple]:
-    """Plans of ``rate_vs_distance`` as tuples in ``ChainPlan`` field order."""
+) -> tuple[list, list[tuple]]:
+    """``rate_vs_distance``'s plans: the sorted lengths and a ``_search`` entry per (M, fc)."""
     initial = qc_zone_state(link_template, noise)
     levels = {m_stations: check_stations(m_stations) for m_stations in stations}
     tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in set(levels.values())}
@@ -335,11 +339,9 @@ def plan_rows(
     if lengths and stations and fc_modes:
         _check_query(lengths[0], fidelity_target)  # the first row's, before any column is built
     columns = _rows(lengths, stations, fc_modes, cavity, link_template, timings_template)
-    plans = [
-        _search(lengths, c, fidelity_target, timings_template, tables[levels[c[0]]], n_max)
-        for c in columns
+    return lengths, [
+        _search(c, fidelity_target, timings_template, tables[levels[c[0]]], n_max) for c in columns
     ]
-    return [plan for same_length in zip(*plans) for plan in same_length]
 
 
 def rate_vs_distance(
@@ -353,17 +355,15 @@ def rate_vs_distance(
     fidelity_target: float = FIDELITY_TARGET,
     n_max: int = 8,
 ) -> list[ChainPlan]:
-    """Optimized plans over a (distance, station count, FC) grid.
+    """Optimized plans over a (distance, station count, FC) grid, in (L, M, fc) order.
 
-    Rows come out ordered by (L, M, fc); repeated inputs give repeated rows.
-    The fidelity recurrences do not depend on the link length, so they are
-    computed once per swap-level count, and the plan search runs once per
-    swap-level count too, over every row that shares the table. Each station
-    count is validated once, before the tables, and every row in row order
-    before any search.
+    Repeated inputs give repeated rows. The fidelity tables do not depend on
+    the length, so each swap-level count builds one. Each station count is
+    validated once, before the tables, and every row in row order before any
+    search.
     """
-    rows = plan_rows(
+    columns = plan_columns(
         distances_km, stations, fc_modes, cavity, link_template, noise, timings_template,
         fidelity_target, n_max,
     )
-    return [ChainPlan(*row) for row in rows]
+    return _chain_plans(*columns, fidelity_target)

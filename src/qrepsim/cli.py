@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .chain import optimize_plan, plan_rows
+from .chain import optimize_plan, plan_columns
 from .config import Config, ConfigError, load_config, records
 from .link import link_budget
 from .noise import IDEAL_OPS
@@ -30,61 +30,43 @@ from .schedule import rate_fidelity_curve
 from .states import BellDiagonalState
 
 
+_FLOAT = "%.9g"  # a float cell's printf spec
+
+
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".9g")
+        return _FLOAT % float(value)
     return str(value)
 
 
-# _format_value's result for each exact built-in type, for the cells of a column without a spec
-_CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: "{:.9g}".format, str: str}
-# printf spec of a CSV column by the set of its cells' exact types
-_COLUMN_SPECS = {frozenset({float}): "%.9g", frozenset({np.float64}): "%.9g",
-                 frozenset({float, np.float64}): "%.9g",
-                 frozenset({int}): "%d", frozenset({str}): "%s"}
-
-
-def _config_echo(config: Config) -> list[str]:
-    return [f"# {key} = {_format_value(value)}" for key, value in vars(config).items()]
+# _format_value's result for each exact built-in type, its fast path for a row's cells
+_CELL_FORMATS = {bool: ("false", "true").__getitem__, int: str, float: _FLOAT.__mod__, str: str}
 
 
 def emit(out, fmt: str, columns, rows, config: Config) -> None:
-    """Write rows, tuples in column order, to a path or '-' for stdout.
+    """Write rows in column order to a path or '-' for stdout.
 
-    A CSV is formatted by one printf template, chosen per column from the
-    exact types of its cells: floats (``float``, ``np.float64``) as %.9g,
-    ``int`` as %d, ``str`` as %s. Any other column (bools, numpy integers,
-    mixed types) is formatted cell by cell by ``_format_value``'s rules.
+    ``rows`` is a list of tuples, whose CSV cells are formatted one by one,
+    or a sweep's ``_Plans``, which formats its own CSV lines.
     """
     if fmt == "csv":
-        lines = _config_echo(config)
+        lines = [f"# {key} = {_format_value(value)}" for key, value in vars(config).items()]
         lines.append(",".join(columns))
-        cells, specs = list(zip(*rows)), []
-        for j, column in enumerate(cells):
-            spec = _COLUMN_SPECS.get(frozenset(map(type, column)))
-            if spec is None:
-                cell = _CELL_FORMATS.get
-                cells[j] = [cell(type(v), _format_value)(v) for v in column]
-            specs.append(spec or "%s")
-        template = ",".join(specs)
-        lines += [template % row for row in zip(*cells)]
-        text = "\n".join(lines) + "\n"
+        if isinstance(rows, _Plans):
+            lines += rows.csv_lines()
+        else:
+            cell = _CELL_FORMATS.get
+            lines += [",".join([cell(type(v), _format_value)(v) for v in row]) for row in rows]
+        lines.append("")  # the final newline
+        text = "\n".join(lines)
     else:
-        payload = {
-            "config": vars(config),
-            "columns": list(columns),
-            "rows": [
-                {
-                    c: float(format(v, ".9g")) if isinstance(v, (float, np.floating)) else v
-                    for c, v in zip(columns, row)
-                }
-                for row in rows
-            ],
-        }
+        rows = [{c: float(format(v, ".9g")) if isinstance(v, (float, np.floating)) else v
+                 for c, v in zip(columns, row)} for row in rows]
+        payload = {"config": vars(config), "columns": list(columns), "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     if out == "-":
         sys.stdout.write(text)
@@ -137,10 +119,32 @@ _PLAN_COLUMNS = ("total_length_km", "m_stations", "fc", "target", "n1", "n2", "f
                  "rate_hz", "feasible")
 
 
-def _plan_row(plan: tuple) -> tuple:
-    """A plan in ``ChainPlan`` field order, in ``_PLAN_COLUMNS`` order with FC as 1/0."""
-    m_stations, length, fc, *rest = plan
-    return (length, m_stations, 1 if fc else 0, *rest)
+class _Plans:
+    """A sweep's plans at one target: float lengths and the (M, fc) entries of ``plan_columns``."""
+
+    def __init__(self, lengths, entries, target):
+        self.lengths, self.entries, self.target = lengths, entries, target
+
+    def __iter__(self):  # rows in _PLAN_COLUMNS order (FC as 1/0), by length, then entry
+        by_entry = [
+            [(length, m_stations, int(fc), self.target, *cells[cell], t_qr, rate, feasible)
+             for length, cell, t_qr, rate in zip(self.lengths, *columns)]
+            for m_stations, fc, feasible, cells, *columns in self.entries
+        ]
+        return (row for same_length in zip(*by_entry) for row in same_length)
+
+    def csv_lines(self) -> list[str]:
+        """One group of lines per length, from entry templates that hold M, FC, target and
+        feasible as text; each length and cell's "n1,n2,f_m" is formatted once."""
+        lengths = [_FLOAT % length for length in self.lengths]
+        templates, arguments = [], []
+        for m_stations, fc, feasible, cells, best, t_qr, rate in self.entries:
+            head = ",".join(map(_format_value, (m_stations, int(fc), self.target)))
+            templates.append(f"%s,{head},%s,{_FLOAT},{_FLOAT},{_format_value(feasible)}")
+            texts = {cell: ",".join(map(_format_value, fields)) for cell, fields in cells.items()}
+            arguments += (lengths, map(texts.__getitem__, best), t_qr, rate)
+        template = "\n".join(templates)
+        return [template % group for group in zip(*arguments)]
 
 
 def cmd_chain(config: Config, args) -> int:
@@ -148,8 +152,8 @@ def cmd_chain(config: Config, args) -> int:
     plan = optimize_plan(
         args.stations, args.distance_km, *records(config), fc=args.fc, fidelity_target=target
     )
-    fields = tuple(vars(plan).values())  # in ChainPlan field order; astuple deep-copies
-    emit(args.out, args.format, _PLAN_COLUMNS, [_plan_row(fields)], config)
+    m_stations, length, fc, *rest = vars(plan).values()  # ChainPlan field order
+    emit(args.out, args.format, _PLAN_COLUMNS, [(length, m_stations, int(fc), *rest)], config)
     return 0 if plan.feasible else 3
 
 
@@ -194,14 +198,10 @@ def cmd_sweep(config: Config, args) -> int:
     # a repeated station count or distance would repeat its rows
     stations = list(dict.fromkeys(_parse_stations(args.stations)))
     fc_modes = {"both": (False, True), "on": (True,), "off": (False,)}[args.fc]
-    plans = plan_rows(
-        list(dict.fromkeys(_parse_distances(args.distances))),
-        stations,
-        fc_modes,
-        *records(config),
-        fidelity_target=config.fidelity_target,
-    )
-    emit(args.out, args.format, _PLAN_COLUMNS, list(map(_plan_row, plans)), config)
+    target = config.fidelity_target
+    lengths = list(dict.fromkeys(_parse_distances(args.distances)))
+    plans = plan_columns(lengths, stations, fc_modes, *records(config), fidelity_target=target)
+    emit(args.out, args.format, _PLAN_COLUMNS, _Plans(*plans, target), config)
     return 0
 
 

@@ -2,9 +2,10 @@
 
 Each cell is formatted on its own by ``format_value``: booleans as
 true/false, integers (numpy ones too) in decimal, floats (numpy ones too)
-to 9 significant digits, anything else by ``str``. ``emit`` formats a CSV
-with one printf template per call and must give the same text; JSON rounds
-each float cell to 9 significant digits.
+to 9 significant digits, anything else by ``str``. ``emit`` writes a sweep's
+plans by one template per (M, fc) entry and other rows through a fast path
+per exact cell type, and must give the same text; JSON rounds each float
+cell to 9 significant digits.
 """
 
 import json

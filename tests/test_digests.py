@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("point_queries", "node_pair")
+WORKLOADS = ("point_queries", "distance_sweep", "node_pair")
 
 
 def _digests(*args):

@@ -1,7 +1,7 @@
 """``cli.emit`` writes the same text as the per-cell formatting it replaced.
 
-``cell_emit`` formats every cell on its own; ``emit`` formats a CSV with one
-printf template per call, chosen per column from the types of its cells. On
+``cell_emit`` formats every cell on its own; ``emit`` formats a row's cells
+through a table of the exact built-in types, falling back to the rules. On
 generated columns of every cell type a row can hold, alone and mixed, both
 must give the same text, or fail with the same error type (JSON has no
 encoding for numpy integers). Generation is derandomized so the suite is
