@@ -19,11 +19,12 @@ performs no Bell measurement, so T_repe contributes only for M > 2.
 One array search serves a single chain and a whole sweep: the link budget
 (``_rows``) and the search (``_search``) run on columns over every length
 that shares a station count and FC mode, and each value equals the scalar
-one bit for bit. A target that no cell meets gives an infeasible plan; a
-feasible best plan whose T_QR overflows to infinity is an error (the CLI
-exits 2), never a feasible row with zero rate. Plans stay columns up to
-the CLI's writer (``plan_columns``); ``rate_vs_distance`` and
-``optimize_plan`` build ``ChainPlan`` rows from them.
+one bit for bit; the search scores only each N1's first N2 that meets the
+target. A target that no cell meets gives an infeasible plan; a feasible
+best plan whose T_QR overflows to infinity is an error (the CLI exits 2),
+never a feasible row with zero rate. Plans stay columns up to the CLI's
+writer (``plan_columns``); ``rate_vs_distance`` and ``optimize_plan`` build
+``ChainPlan`` rows from them.
 """
 
 from __future__ import annotations
@@ -215,9 +216,6 @@ def _rows(
     return columns
 
 
-_BLOCK = 512  # rows per search block: a [N2, N1, row] array is then 330 KB at n_max = 8
-
-
 def _search(
     column: tuple,
     fidelity_target: float,
@@ -229,51 +227,50 @@ def _search(
 
     ``best`` holds each length's cell N2 * (n_max + 1) + N1, ``cells`` maps
     each cell in it to (N1, N2, f_m), and ``t_qr`` and ``rate`` are floats.
-    T_QR is built over [N2, N1, row] in blocks of ``_BLOCK`` rows, a round at
-    a time in the scalar formula's order, so it equals that formula bit for
-    bit; each row takes its first minimum in (N2, N1) order.
+    T_QR never falls as N2 grows at a fixed N1 (2^N2 doubles the pair time,
+    the post-swap sum only adds positive steps), so each N1's first feasible
+    N2 is its best plan and wins a tie. T_QR is built over these candidates
+    in (N2, N1) order, a round at a time in the scalar formula's order, so it
+    equals that formula bit for bit, and each row's first minimum is the grid's.
     """
     if n_max > len(table.pre_swap_p):
         raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
     m_stations, fc, stage, lc_link, lc_total, repe = column
     n = n_max + 1
     end_f = np.array(table.end_fidelities)[:n, :n]
-    feasible = end_f >= fidelity_target - 1e-12
-    any_feasible = bool(feasible.any())
-    best, best_t = np.zeros(len(stage), dtype=int), np.zeros(len(stage))  # N2 * n + N1, T_QR
-    if any_feasible:
+    feasible = end_f >= fidelity_target - 1e-12  # [N1, N2]
+    # each N1's first feasible N2 as its cell N2 * n + N1, sorted: the (N2, N1) order ties go
+    candidates = sorted(r.index(True) * n + n1 for n1, r in enumerate(feasible.tolist()) if any(r))
+    if candidates:
         t_proj = timings_template.t_proj_us
         pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
-        # [k, N1]: the (k+1)-th post-swap round's time after N1 pre-swap rounds
-        end_steps = np.array([[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]]).T
-        infeasible = ~feasible.T  # [N2, N1]
-        doubling = 2.0 ** np.arange(n)
+        # [N1][k]: the (k+1)-th post-swap round's time after N1 pre-swap rounds
+        end_steps = [[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]]
+        n1s, n2s = [c % n for c in candidates], [c // n for c in candidates]
+        doubling = np.array([2.0**k for k in range(n)])  # cheaper than a numpy power for one row
         with np.errstate(over="ignore"):
-            for start in range(0, len(stage), _BLOCK):
-                rows = slice(start, start + _BLOCK)
-                pre_swap = np.zeros((n, len(stage[rows])))  # [N1, row]
-                steps = pre_steps[:, None] + lc_link[rows]
-                for k in range(n_max):
-                    np.add(pre_swap[k], steps[k], out=pre_swap[k + 1])
-                pair_time = np.maximum(doubling[:, None] * stage[rows], pre_swap) + repe[rows]
-                steps = end_steps[:, :, None] + lc_total[rows]
-                t_qr = np.zeros((n, *pre_swap.shape))  # [N2, N1, row]: purification, then T_QR
-                for k in range(n_max):
-                    np.add(t_qr[k], steps[k], out=t_qr[k + 1])
-                np.maximum(doubling[:, None, None] * pair_time, t_qr, out=t_qr)
-                t_qr[infeasible] = np.inf
-                t_qr = t_qr.reshape(n * n, -1)
-                best[rows] = t_qr.argmin(axis=0)
-                best_t[rows] = t_qr.min(axis=0)
+            pre_swap = np.zeros((n, len(stage)))  # [N1, row]
+            # T_EG's purification sums; cumsum adds in order, as the scalar loop does
+            np.cumsum(pre_steps[:, None] + lc_link, axis=0, out=pre_swap[1:])
+            np.maximum(doubling[:, None] * stage, pre_swap, out=pre_swap)  # in place: less memory
+            pair_time = np.add(pre_swap, repe, out=pre_swap)[n1s]  # T_EG(N1) + T_repe
+            t_qr = np.zeros(pair_time.shape)  # [candidate, row]: purification, then T_QR
+            steps = np.array([end_steps[n1][: n2s[-1]] for n1 in n1s])  # [candidate, k]
+            for k in range(n2s[-1]):  # round k adds to the candidates with N2 > k, the last ones
+                later = sum(m <= k for m in n2s)
+                np.add(t_qr[later:], steps[later:, k, None] + lc_total, out=t_qr[later:])
+            np.maximum(np.multiply(doubling[n2s, None], pair_time, out=pair_time), t_qr, out=t_qr)
+        best, best_t = np.array(candidates)[t_qr.argmin(axis=0)], t_qr.min(axis=0)
         if not np.isfinite(best_t).all():
             raise ValueError("t_qr_us must be finite, got inf")
         rate = timings_template.parallel_links * 1e6 / best_t
     else:  # the first best fidelity, N1-major, at zero T_QR and rate
         n1, n2 = divmod(int(end_f.argmax()), n)
-        best[:], rate = n2 * n + n1, best_t
+        best, best_t = np.full(len(stage), n2 * n + n1), np.zeros(len(stage))
+        rate = best_t
     best = best.tolist()
     cells = {c: (c % n, c // n, table.end_fidelities[c % n][c // n]) for c in set(best)}
-    return m_stations, fc, any_feasible, cells, best, best_t.tolist(), rate.tolist()
+    return m_stations, fc, bool(candidates), cells, best, best_t.tolist(), rate.tolist()
 
 
 def _chain_plans(lengths, entries, fidelity_target) -> list[ChainPlan]:

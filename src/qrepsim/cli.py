@@ -5,7 +5,7 @@ resolved configuration echoed in the header, so every emitted number is
 reproducible from the file alone. Floats carry 9 significant digits.
 
 Exit codes: 0 success, 2 configuration error or unwritable output file,
-3 infeasible fidelity target (single-point chain command only).
+3 infeasible target (chain only; stderr names the best cell it reached).
 
 ``COMMANDS`` defines the subcommands. A call builds only its subcommand's
 parser; the full parser, built from the same table, serves -h and argument errors.
@@ -149,11 +149,14 @@ class _Plans:
 
 def cmd_chain(config: Config, args) -> int:
     target = config.fidelity_target if args.target is None else args.target
-    plan = optimize_plan(
-        args.stations, args.distance_km, *records(config), fc=args.fc, fidelity_target=target
-    )
+    n_max = 8  # the bound on N1 and N2, named with the best cell when no plan meets the target
+    plan = optimize_plan(args.stations, args.distance_km, *records(config), n_max, fc=args.fc,
+                         fidelity_target=target)
     m_stations, length, fc, *rest = vars(plan).values()  # ChainPlan field order
     emit(args.out, args.format, _PLAN_COLUMNS, [(length, m_stations, int(fc), *rest)], config)
+    if not plan.feasible:
+        print(f"infeasible: no plan with N1, N2 <= {n_max} reaches target {_format_value(target)}; "
+              f"best f_m {_FLOAT % plan.f_m} at N1={plan.n1}, N2={plan.n2}", file=sys.stderr)
     return 0 if plan.feasible else 3
 
 

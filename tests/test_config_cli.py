@@ -193,6 +193,21 @@ def test_cli_chain_feasible_and_infeasible(tmp_path, capsys):
     assert float(row["rate_hz"]) == 0.0
 
 
+def test_cli_chain_says_on_stderr_why_it_exits_3(tmp_path, capsys):
+    out = tmp_path / "plan.csv"
+    argv = ["chain", "--stations", "5", "--distance-km", "25", "--target", "0.995"]
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "infeasible: no plan with N1, N2 <= 8 reaches target 0.995; "
+        "best f_m 0.993126706 at N1=8, N2=8\n",
+    )
+    # the line names the row's own best cell
+    assert out.read_text().splitlines()[-1] == "25,5,0,0.995,8,8,0.993126706,0,0,false"
+    assert main(["chain", "--stations", "5", "--distance-km", "25", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_cli_chain_rejects_bad_station_count(capsys):
     assert main(["chain", "--stations", "4", "--distance-km", "1.0"]) == 2
 

@@ -7,7 +7,8 @@ with FC as 1/0. On generated configs, station lists that hold M = 2, FC
 modes, lin and log grids of one to many points and targets that no cell
 meets or that sit exactly at a cell's fidelity, ``sweep`` and ``chain`` must
 print the reference's text with the same exit code, or both must fail with
-the same error. The writer is also called on its own with Python-float and
+the same error; ``chain``'s exit 3 also names the best cell reached on
+stderr. The writer is also called on its own with Python-float and
 numpy-float lengths. Generation is derandomized so the suite is repeatable.
 """
 
@@ -131,8 +132,14 @@ def _reference(path, fmt, lengths, stations, fc_modes, target=None, chain=False)
         return 2, "", f"error: {exc}\n"
     except Exception as exc:
         return type(exc), str(exc)
-    rc = 3 if chain and not plans[0].feasible else 0
-    return rc, cell_emit.render(fmt, cli._PLAN_COLUMNS, _rows(plans), config), ""
+    text = cell_emit.render(fmt, cli._PLAN_COLUMNS, _rows(plans), config)
+    if not chain or plans[0].feasible:
+        return 0, text, ""
+    best = plans[0]  # the best fidelity reached, named on stderr with exit 3
+    return 3, text, (
+        f"infeasible: no plan with N1, N2 <= 8 reaches target {target:.9g}; "
+        f"best f_m {best.f_m:.9g} at N1={best.n1}, N2={best.n2}\n"
+    )
 
 
 @EXACT
@@ -140,7 +147,7 @@ def _reference(path, fmt, lengths, stations, fc_modes, target=None, chain=False)
     values=configs(), stations=station_lists, fc=st.sampled_from(sorted(FC_MODES)),
     grid=grids(), target=targets, fmt=formats,
 )
-# 1200 lengths: three search blocks, every length group of the writer
+# 1200 lengths: every length group of the writer
 @example({}, [2, 5, 17], "both", (1.0, 2000.0, 1200, "log"), 0.99, "csv")
 @example({}, [2, 5, 17], "both", (1.0, 1000.0, 1200, "lin"), 0.99, "json")
 # every length, or only the last, fails

@@ -12,6 +12,7 @@ the suite is repeatable.
 import contextlib
 import io
 import math
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -241,6 +242,37 @@ def test_optimize_plan_equals_scalar_search(
     assert _observed(row) == (plan if isinstance(plan, tuple) else [plan])
 
 
+@PROPERTY
+@given(
+    design=designs(),
+    distances=st.lists(lengths, min_size=1, max_size=3),
+    m_stations=stations,
+    fc=st.booleans(),
+    cell=st.integers(0, 80),
+    # the cell's fidelity itself, or the slack edge where it stops meeting the target
+    slack=st.sampled_from([0.0, 1e-12]),
+    ulps=st.sampled_from([-1, 0, 1]),
+    n_max=st.integers(0, 8),
+)
+@example(DEFAULTS, [25.0], 5, False, 40, 0.0, 0, 8)
+@example(DEFAULTS, [25.0], 5, False, 40, 1e-12, 1, 8)
+def test_a_target_at_a_cell_or_one_ulp_away_gives_the_scalar_plan(
+    design, distances, m_stations, fc, cell, slack, ulps, n_max
+):
+    link, noise, timings = design
+    target = _target(("cell", cell), link, noise, m_stations, n_max) + slack
+    if ulps:
+        target = math.nextafter(target, ulps * math.inf)
+    args = (m_stations, distances[0], CavityParams(), link, noise, timings)
+    kwargs = dict(n_max=n_max, fc=fc, fidelity_target=target)
+    reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
+    assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
+    grid = (distances, [m_stations], (fc,), *args[2:])
+    kwargs = dict(fidelity_target=target, n_max=n_max)
+    reference = _outcome(scalar_search.rate_vs_distance, *grid, **kwargs)
+    assert _observed(_outcome(rate_vs_distance, *grid, **kwargs)) == _expected(reference)
+
+
 @st.composite
 def built_tables(draw):
     """Hand-made tables: few distinct fidelities (so cells tie) and any P_puri in (0, 1]."""
@@ -323,11 +355,20 @@ def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
     assert plan == reference
 
 
-def _cli(*argv):
-    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+def _cli(*argv, src=SRC):
+    """``python -B -m qrepsim`` in a bare environment: no bytecode is written under ``src``."""
+    env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
     return subprocess.run(
-        [sys.executable, "-m", "qrepsim", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-B", "-m", "qrepsim", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_cli_subprocesses_leave_no_bytecode_in_the_sources(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    result = _cli("chain", "--stations", "2", "--distance-km", "1000", src=src)
+    assert result.returncode == 0
+    assert list(src.rglob("__pycache__")) == []
 
 
 def test_overflowing_t_qr_is_an_error_not_a_feasible_row():

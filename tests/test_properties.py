@@ -4,7 +4,8 @@
   and whether its fidelity target is reachable does not depend on distance:
   the fidelity recurrences do not see the link length.
 - Every (N1, N2) cell's T_QR, by the scalar search's formula, does not fall
-  as the distance grows.
+  as the distance grows, nor as N2 grows at a fixed N1, overflow included:
+  the plan search keeps only each N1's first feasible N2 on that premise.
 - The end-to-end fidelity at every fixed (N1, N2) does not fall as the
   gate fidelity or the readout accuracy rises.
 - Every Bell-diagonal state the engine builds for a fidelity table or a
@@ -41,7 +42,8 @@ from qrepsim.chain import chain_fidelity_table, check_stations
 from qrepsim import cli
 from qrepsim.cli import build_parser, main
 from qrepsim.link import expected_esta, qc_zone_state
-from test_plan_search import designs, stations
+from test_plan_search import DEFAULTS, designs, stations
+from test_plan_search import lengths as lengths_to_overflow
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 OVERFLOW = "t_qr_us must be finite, got inf"
@@ -116,6 +118,20 @@ def test_every_t_qr_cell_is_non_decreasing_in_distance(design, m_stations, fc, d
     near, far = (_t_qr_cells(design, m_stations, fc, d, table) for d in distances)
     assert len(near) == 81
     assert all(far[cell] >= t_qr for cell, t_qr in near.items())
+
+
+@PROPERTY
+@given(design=designs(), m_stations=stations, fc=st.booleans(), length=lengths_to_overflow)
+# M = 2 without FC: 6 of the 81 cells overflow to infinity at 1000 km, 71 at 1010 km
+@example(DEFAULTS, 2, False, 1000.0)
+@example(DEFAULTS, 2, False, 1010.0)
+def test_every_t_qr_cell_is_non_decreasing_in_n2(design, m_stations, fc, length):
+    link, noise, _ = design
+    table = chain_fidelity_table(qc_zone_state(link, noise), check_stations(m_stations), noise)
+    cells = _t_qr_cells(design, m_stations, fc, length, table)
+    for n1 in range(9):
+        by_n2 = [cells[n1, n2] for n2 in range(9)]
+        assert all(t_qr <= later for t_qr, later in zip(by_n2, by_n2[1:]))
 
 
 def _up_to_one(lo):
