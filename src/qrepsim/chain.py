@@ -22,9 +22,11 @@ that shares a station count and FC mode, and each value equals the scalar
 one bit for bit; the search scores only each N1's first N2 that meets the
 target. A target that no cell meets gives an infeasible plan; a feasible
 best plan whose T_QR overflows to infinity is an error (the CLI exits 2),
-never a feasible row with zero rate. Plans stay columns up to the CLI's
-writer (``plan_columns``); ``rate_vs_distance`` and ``optimize_plan`` build
-``ChainPlan`` rows from them.
+never a feasible row with zero rate. Every query goes through
+``plan_columns``: plans stay columns up to the CLI's one writer, which
+serves ``chain`` and ``sweep`` alike, and ``plan_rows`` expands them into
+rows, which ``rate_vs_distance`` wraps in ``ChainPlan``; ``optimize_plan``
+is ``rate_vs_distance`` on one row.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .states import expand_operator  # noqa: F401
 
 
 FIDELITY_TARGET = 0.99  # the default end-to-end target, of a query and of the config key
+N_MAX = 8  # the default bound on N1 and N2, of a query and of a sweep
 
 
 def check_fidelity_target(value: float) -> None:
@@ -140,7 +143,7 @@ def chain_fidelity_table(
     initial: BellDiagonalState,
     n_swap_levels: int,
     params: GateNoiseParams,
-    n_max: int = 8,
+    n_max: int = N_MAX,
 ) -> ChainFidelityTable:
     states1, p1 = purify_ladder_weights(initial, n_max, params)
     end_f, end_p = [], []
@@ -233,8 +236,6 @@ def _search(
     in (N2, N1) order, a round at a time in the scalar formula's order, so it
     equals that formula bit for bit, and each row's first minimum is the grid's.
     """
-    if n_max > len(table.pre_swap_p):
-        raise ValueError(f"n_max {n_max} exceeds the table's {len(table.pre_swap_p)} rounds")
     m_stations, fc, stage, lc_link, lc_total, repe = column
     n = n_max + 1
     end_f = np.array(table.end_fidelities)[:n, :n]
@@ -273,50 +274,6 @@ def _search(
     return m_stations, fc, bool(candidates), cells, best, best_t.tolist(), rate.tolist()
 
 
-def _chain_plans(lengths, entries, fidelity_target) -> list[ChainPlan]:
-    """The plans of ``plan_columns`` entries, by length, then (M, fc) entry."""
-    by_entry = [
-        [ChainPlan(m_stations, length, fc, fidelity_target, *cells[cell], t_qr, rate, feasible)
-         for length, cell, t_qr, rate in zip(lengths, *columns)]
-        for m_stations, fc, feasible, cells, *columns in entries
-    ]
-    return [plan for same_length in zip(*by_entry) for plan in same_length]
-
-
-def optimize_plan(
-    m_stations: int,
-    total_length_km: float,
-    cavity: CavityParams,
-    link_template: LinkParams,
-    noise: GateNoiseParams,
-    timings_template: OperationTimings = OperationTimings(),
-    n_max: int = 8,
-    table: ChainFidelityTable | None = None,
-    *,
-    fc: bool = False,
-    fidelity_target: float = FIDELITY_TARGET,
-) -> ChainPlan:
-    """Exhaustive (N1, N2) search minimizing T_QR at the fidelity target.
-
-    This is ``plan_columns`` on one row: the same checks in the same order,
-    then the same row building and array search. N1 and N2 range over
-    0..n_max; ``table`` may hold more rounds than that, and is built from
-    the zone state when omitted. Ties in T_QR prefer fewer post-swap
-    rounds, then fewer pre-swap rounds. An infeasible target returns
-    feasible=False, zero T_QR and rate, and the first best fidelity in
-    N1-major order; an overflowing feasible T_QR raises ValueError.
-    """
-    n_swap_levels = check_stations(m_stations)
-    _check_query(total_length_km, fidelity_target)
-    lengths = [total_length_km]
-    (column,) = _rows(lengths, [m_stations], [fc], cavity, link_template, timings_template)
-    if table is None:
-        initial = qc_zone_state(link_template, noise)
-        table = chain_fidelity_table(initial, n_swap_levels, noise, n_max)
-    entry = _search(column, fidelity_target, timings_template, table, n_max)
-    return _chain_plans(lengths, [entry], fidelity_target)[0]
-
-
 def plan_columns(
     distances_km,
     stations,
@@ -326,7 +283,7 @@ def plan_columns(
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
     fidelity_target: float = FIDELITY_TARGET,
-    n_max: int = 8,
+    n_max: int = N_MAX,
 ) -> tuple[list, list[tuple]]:
     """``rate_vs_distance``'s plans: the sorted lengths and a ``_search`` entry per (M, fc)."""
     initial = qc_zone_state(link_template, noise)
@@ -341,6 +298,16 @@ def plan_columns(
     ]
 
 
+def plan_rows(lengths, entries, fidelity_target) -> list[tuple]:
+    """``plan_columns``'s plans as tuples in ``ChainPlan`` field order, by length, then entry."""
+    by_entry = [
+        [(m_stations, length, fc, fidelity_target, *cells[cell], t_qr, rate, feasible)
+         for length, cell, t_qr, rate in zip(lengths, *columns)]
+        for m_stations, fc, feasible, cells, *columns in entries
+    ]
+    return [row for same_length in zip(*by_entry) for row in same_length]
+
+
 def rate_vs_distance(
     distances_km,
     stations,
@@ -350,7 +317,7 @@ def rate_vs_distance(
     noise: GateNoiseParams,
     timings_template: OperationTimings = OperationTimings(),
     fidelity_target: float = FIDELITY_TARGET,
-    n_max: int = 8,
+    n_max: int = N_MAX,
 ) -> list[ChainPlan]:
     """Optimized plans over a (distance, station count, FC) grid, in (L, M, fc) order.
 
@@ -363,4 +330,32 @@ def rate_vs_distance(
         distances_km, stations, fc_modes, cavity, link_template, noise, timings_template,
         fidelity_target, n_max,
     )
-    return _chain_plans(*columns, fidelity_target)
+    return [ChainPlan(*row) for row in plan_rows(*columns, fidelity_target)]
+
+
+def optimize_plan(
+    m_stations: int,
+    total_length_km: float,
+    cavity: CavityParams,
+    link_template: LinkParams,
+    noise: GateNoiseParams,
+    timings_template: OperationTimings = OperationTimings(),
+    n_max: int = N_MAX,
+    *,
+    fc: bool = False,
+    fidelity_target: float = FIDELITY_TARGET,
+) -> ChainPlan:
+    """Exhaustive (N1, N2) search minimizing T_QR at the fidelity target.
+
+    This is ``rate_vs_distance`` on one row: the same checks in the same
+    order, then the same fidelity table, row building and array search. N1
+    and N2 range over 0..n_max. Ties in T_QR prefer fewer post-swap rounds,
+    then fewer pre-swap rounds. An infeasible target returns feasible=False,
+    zero T_QR and rate, and the first best fidelity in N1-major order; an
+    overflowing feasible T_QR raises ValueError.
+    """
+    (plan,) = rate_vs_distance(
+        [total_length_km], [m_stations], [fc], cavity, link_template, noise, timings_template,
+        fidelity_target, n_max,
+    )
+    return plan

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .chain import optimize_plan, plan_columns
+from .chain import N_MAX, plan_columns, plan_rows
 from .config import Config, ConfigError, load_config, records
 from .link import link_budget
 from .noise import IDEAL_OPS
@@ -51,7 +51,7 @@ def emit(out, fmt: str, columns, rows, config: Config) -> None:
     """Write rows in column order to a path or '-' for stdout.
 
     ``rows`` is a list of tuples, whose CSV cells are formatted one by one,
-    or a sweep's ``_Plans``, which formats its own CSV lines.
+    or the ``_Plans`` of a chain or a sweep, which formats its own CSV lines.
     """
     if fmt == "csv":
         lines = [f"# {key} = {_format_value(value)}" for key, value in vars(config).items()]
@@ -120,18 +120,14 @@ _PLAN_COLUMNS = ("total_length_km", "m_stations", "fc", "target", "n1", "n2", "f
 
 
 class _Plans:
-    """A sweep's plans at one target: float lengths and the (M, fc) entries of ``plan_columns``."""
+    """Plans at one target, a chain's or a sweep's: the lengths and entries of ``plan_columns``."""
 
     def __init__(self, lengths, entries, target):
         self.lengths, self.entries, self.target = lengths, entries, target
 
     def __iter__(self):  # rows in _PLAN_COLUMNS order (FC as 1/0), by length, then entry
-        by_entry = [
-            [(length, m_stations, int(fc), self.target, *cells[cell], t_qr, rate, feasible)
-             for length, cell, t_qr, rate in zip(self.lengths, *columns)]
-            for m_stations, fc, feasible, cells, *columns in self.entries
-        ]
-        return (row for same_length in zip(*by_entry) for row in same_length)
+        for m_stations, length, fc, *rest in plan_rows(self.lengths, self.entries, self.target):
+            yield (length, m_stations, int(fc), *rest)
 
     def csv_lines(self) -> list[str]:
         """One group of lines per length, from entry templates that hold M, FC, target and
@@ -149,15 +145,15 @@ class _Plans:
 
 def cmd_chain(config: Config, args) -> int:
     target = config.fidelity_target if args.target is None else args.target
-    n_max = 8  # the bound on N1 and N2, named with the best cell when no plan meets the target
-    plan = optimize_plan(args.stations, args.distance_km, *records(config), n_max, fc=args.fc,
+    plans = plan_columns([args.distance_km], [args.stations], [args.fc], *records(config),
                          fidelity_target=target)
-    m_stations, length, fc, *rest = vars(plan).values()  # ChainPlan field order
-    emit(args.out, args.format, _PLAN_COLUMNS, [(length, m_stations, int(fc), *rest)], config)
-    if not plan.feasible:
-        print(f"infeasible: no plan with N1, N2 <= {n_max} reaches target {_format_value(target)}; "
-              f"best f_m {_FLOAT % plan.f_m} at N1={plan.n1}, N2={plan.n2}", file=sys.stderr)
-    return 0 if plan.feasible else 3
+    emit(args.out, args.format, _PLAN_COLUMNS, _Plans(*plans, target), config)
+    ((_, _, feasible, cells, (best,), _, _),) = plans[1]  # the one entry, at the one length
+    if not feasible:
+        n1, n2, f_m = cells[best]
+        print(f"infeasible: no plan with N1, N2 <= {N_MAX} reaches target {_format_value(target)}; "
+              f"best f_m {_FLOAT % f_m} at N1={n1}, N2={n2}", file=sys.stderr)
+    return 0 if feasible else 3
 
 
 def _finite_float(text: str) -> float:

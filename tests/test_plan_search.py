@@ -5,8 +5,10 @@ On generated chains, options and targets, ``optimize_plan`` and
 ``rate_vs_distance`` must return the same ``ChainPlan`` values as that loop,
 compared with ``==`` and by type, or raise the same error. The one intended
 difference: where the loop reports a feasible plan whose T_QR overflowed to
-infinity, the package raises ``ValueError``. Generation is derandomized so
-the suite is repeatable.
+infinity, the package raises ``ValueError``. Hand-built tables reach the
+package by patching ``chain.chain_fidelity_table`` for the call, and the
+loop by its ``table`` argument. A larger search bound never loses a plan.
+Generation is derandomized so the suite is repeatable.
 """
 
 import contextlib
@@ -17,6 +19,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from qrepsim import (
     GateNoiseParams,
     LinkParams,
     OperationTimings,
+    chain,
     optimize_plan,
     qc_zone_state,
     rate_vs_distance,
@@ -228,13 +232,15 @@ def test_optimize_plan_equals_scalar_search(
     else:
         target = _target(target, link, noise, m_stations, n_max)
     # an 8-round table searched only up to n_max, or a table built for n_max
-    table = None
+    table, shared = None, contextlib.nullcontext()
     if shared_table and not isinstance(levels, tuple):
         table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise, 8)
+        shared = patch.object(chain, "chain_fidelity_table", return_value=table)
     args = (m_stations, length, CavityParams(), link, noise, timings)
-    kwargs = dict(n_max=n_max, table=table, fc=fc, fidelity_target=target)
-    reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
-    plan = _observed(_outcome(optimize_plan, *args, **kwargs))
+    kwargs = dict(n_max=n_max, fc=fc, fidelity_target=target)
+    reference = _outcome(scalar_search.optimize_plan, *args, table=table, **kwargs)
+    with shared:
+        plan = _observed(_outcome(optimize_plan, *args, **kwargs))
     assert plan == _expected(reference)
     # the same query as a one-row grid
     grid = ([length], [m_stations], (fc,), *args[2:])
@@ -271,6 +277,44 @@ def test_a_target_at_a_cell_or_one_ulp_away_gives_the_scalar_plan(
     kwargs = dict(fidelity_target=target, n_max=n_max)
     reference = _outcome(scalar_search.rate_vs_distance, *grid, **kwargs)
     assert _observed(_outcome(rate_vs_distance, *grid, **kwargs)) == _expected(reference)
+
+
+@PROPERTY
+@given(
+    design=designs(),
+    length=lengths,
+    m_stations=stations,
+    fc=st.booleans(),
+    target=targets,
+    bounds=st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True).map(sorted),
+)
+@example(DEFAULTS, 25.0, 5, False, 0.99, [5, 8])
+@example(DEFAULTS, 1010.0, 2, False, 0.99, [0, 8])  # T_QR overflows at both bounds
+def test_a_larger_search_bound_never_loses_a_plan(design, length, m_stations, fc, target, bounds):
+    link, noise, timings = design
+    target = _target(target, link, noise, m_stations, bounds[1])  # a cell met at the larger bound
+    args = (m_stations, length, CavityParams(), link, noise, timings)
+    small, large = [
+        _outcome(optimize_plan, *args, n_max=n_max, fc=fc, fidelity_target=target)
+        for n_max in bounds
+    ]
+    if OVERFLOW not in (small, large) and (isinstance(small, tuple) or isinstance(large, tuple)):
+        assert small == large  # an error of the row, not of the search bound
+        return
+    searches = []  # (feasible, T_QR), an overflowing feasible T_QR as infinity
+    for outcome in (small, large):
+        if outcome == OVERFLOW:
+            searches.append((True, math.inf))
+            continue
+        searches.append((outcome.feasible, outcome.t_qr_us))
+        if outcome.feasible:  # within the search's documented slack, at a positive rate
+            assert outcome.f_m >= target - 1e-12
+            assert outcome.rate_hz > 0
+    (feasible, t_qr), (feasible_large, t_qr_large) = searches
+    # infeasible at the larger bound implies infeasible at the smaller one
+    assert feasible <= feasible_large
+    if feasible:  # a cell's T_QR does not depend on the bound
+        assert t_qr_large <= t_qr
 
 
 @st.composite
@@ -317,10 +361,11 @@ def test_search_equals_scalar_search_on_built_tables(
 ):
     timings = OperationTimings(t_proj_us=t_proj_us)
     args = (m_stations, length, CavityParams(), LinkParams(), GateNoiseParams(), timings)
-    kwargs = dict(n_max=min(n_max, len(table.pre_swap_p)), table=table)
+    kwargs = dict(n_max=min(n_max, len(table.pre_swap_p)))
     kwargs.update(fc=fc, fidelity_target=target + offset)
-    reference = _outcome(scalar_search.optimize_plan, *args, **kwargs)
-    assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
+    reference = _outcome(scalar_search.optimize_plan, *args, table=table, **kwargs)
+    with patch.object(chain, "chain_fidelity_table", return_value=table):
+        assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
 
 
 @pytest.mark.parametrize(
@@ -342,10 +387,9 @@ def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
             for n1 in range(2)
         )
         table = ChainFidelityTable((0.9, 0.95), (1.0,), end_f, ((p_post,), (p_post,)))
-        return (
-            optimize_plan(*args, n_max=1, table=table, fidelity_target=0.99),
-            scalar_search.optimize_plan(*args, n_max=1, table=table, fidelity_target=0.99),
-        )
+        with patch.object(chain, "chain_fidelity_table", return_value=table):
+            plan = optimize_plan(*args, n_max=1, fidelity_target=0.99)
+        return plan, scalar_search.optimize_plan(*args, n_max=1, table=table, fidelity_target=0.99)
 
     alone = [search({cell})[0] for cell in cells]
     assert [(p.n1, p.n2) for p in alone] == cells
