@@ -39,7 +39,7 @@ import numpy as np
 from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
-from .schedule import OperationTimings, classical_delay_us, t_puri
+from .schedule import OperationTimings, classical_delay_us
 from .states import BellDiagonalState, check_positive
 # purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
 from .purify import purify_n_rounds  # noqa: F401
@@ -92,18 +92,6 @@ class ChainPlan:
     feasible: bool
 
 
-# (i1, i2, index of the label (a1^a2, b1^b2)) in loop order; a label's index is a + 2b
-_XOR_TERMS = tuple((i1, i2, i1 ^ i2) for i1 in range(4) for i2 in range(4))
-
-
-def _xor_combine(w1, w2) -> list:
-    """Weights of the label (a1^a2, b1^b2) for independent labels drawn from w1 and w2."""
-    out = [0.0] * 4
-    for i1, i2, k in _XOR_TERMS:
-        out[k] += w1[i1] * w2[i2]
-    return out
-
-
 def bell_measurement(
     left: BellDiagonalState, right: BellDiagonalState, params: GateNoiseParams
 ) -> BellDiagonalState:
@@ -115,13 +103,25 @@ def bell_measurement(
     gives (a1^a2, b1^b2^1). A wrong x applies the wrong Z correction and
     flips the phase bit, a wrong y flips the parity bit, each with
     probability 1 - eta; with probability 1 - f_op the gate leaves the end
-    pair maximally mixed.
+    pair maximally mixed. Label (a, b) has index a + 2b, so combining two
+    labels sums each w1[i1] w2[i2] into index i1 ^ i2, from 0.0 in (i1, i2)
+    order: the two pairs into x, then x and the readout offset d into m.
     """
+    l0, l1, l2, l3 = left.weights
+    r0, r1, r2, r3 = right.weights
+    x0 = 0.0 + l0 * r0 + l1 * r1 + l2 * r2 + l3 * r3
+    x1 = 0.0 + l0 * r1 + l1 * r0 + l2 * r3 + l3 * r2
+    x2 = 0.0 + l0 * r2 + l1 * r3 + l2 * r0 + l3 * r1
+    x3 = 0.0 + l0 * r3 + l1 * r2 + l2 * r1 + l3 * r0
     ok, err = params.eta_meas, 1.0 - params.eta_meas
     # distribution of the bits added to (a1^a2, b1^b2): (0, 1) when both readouts are right
-    offset = (ok * err, err * err, ok * ok, err * ok)  # BELL_BITS order
-    mixed = _xor_combine(_xor_combine(left.weights, right.weights), offset)
-    return BellDiagonalState(tuple(params.f_op * m + (1.0 - params.f_op) / 4.0 for m in mixed))
+    d0, d1, d2, d3 = ok * err, err * err, ok * ok, err * ok  # BELL_BITS order
+    m0 = 0.0 + x0 * d0 + x1 * d1 + x2 * d2 + x3 * d3
+    m1 = 0.0 + x0 * d1 + x1 * d0 + x2 * d3 + x3 * d2
+    m2 = 0.0 + x0 * d2 + x1 * d3 + x2 * d0 + x3 * d1
+    m3 = 0.0 + x0 * d3 + x1 * d2 + x2 * d1 + x3 * d0
+    f, floor = params.f_op, (1.0 - params.f_op) / 4.0
+    return BellDiagonalState((f * m0 + floor, f * m1 + floor, f * m2 + floor, f * m3 + floor))
 
 
 def t_repe(t_proj_us: float, total_length_km: float) -> float:
@@ -154,6 +154,9 @@ def chain_fidelity_table(
         states2, p2 = purify_ladder_weights(end, n_max, params)
         end_f.append(tuple(s.fidelity for s in states2))
         end_p.append(p2)
+    for p in (*p1, *(p for row in end_p for p in row)):  # t_puri's check, so _search only divides
+        if not 0 < p <= 1:
+            raise ValueError(f"p_puri {p} outside (0, 1]")
     return ChainFidelityTable(
         pre_swap_fidelities=tuple(s.fidelity for s in states1),
         pre_swap_p=p1,
@@ -244,9 +247,9 @@ def _search(
     candidates = sorted(r.index(True) * n + n1 for n1, r in enumerate(feasible.tolist()) if any(r))
     if candidates:
         t_proj = timings_template.t_proj_us
-        pre_steps = np.array([t_puri(t_proj, p) for p in table.pre_swap_p[:n_max]])
+        pre_steps = np.array([t_proj / p for p in table.pre_swap_p[:n_max]])
         # [N1][k]: the (k+1)-th post-swap round's time after N1 pre-swap rounds
-        end_steps = [[t_puri(t_proj, p) for p in ps[:n_max]] for ps in table.end_p[:n]]
+        end_steps = [[t_proj / p for p in ps[:n_max]] for ps in table.end_p[:n]]
         n1s, n2s = [c % n for c in candidates], [c // n for c in candidates]
         doubling = np.array([2.0**k for k in range(n)])  # cheaper than a numpy power for one row
         with np.errstate(over="ignore"):

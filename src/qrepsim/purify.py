@@ -16,6 +16,8 @@ first round instead of converging to the high-fidelity plateau.
 The engine runs rounds on four float Bell weights (``purify_round_weights``,
 ``purify_ladder_weights``, ``fixed_point_fidelity``): gate noise leaves the
 maximally mixed state, so a round never leaves the Bell-diagonal manifold.
+All three wrap ``_round``, which writes the round's 16 terms out on weight
+tuples and checks each output once, through ``states._bell_weights``.
 ``purify_round`` and ``purify_n_rounds`` are the 16-dimensional dense
 reference it is tested against.
 """
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import GateNoiseParams, noisy_measure_z, noisy_two_qubit_gate
-from .states import ID2, PAULI_X, PSI_PLUS, BellDiagonalState, DensityMatrix, fidelity_bell, tensor
+from .states import ID2, PAULI_X, PSI_PLUS, BellDiagonalState, DensityMatrix, _bell_weights
+from .states import fidelity_bell, tensor
 
 
 class PurificationError(ValueError):
@@ -152,8 +155,32 @@ def purify_n_rounds(
     return PurificationSchedule(n_rounds=n, rounds=tuple(rounds), initial_state=initial)
 
 
-# (i1, i2, index of the kept label (a1^a2, b1), parity b1^b2) in loop order; index a + 2b
-_ROUND_TERMS = tuple((i1, i2, i1 ^ (i2 & 1), (i1 ^ i2) >> 1) for i1 in range(4) for i2 in range(4))
+def _round(w1: tuple, w2: tuple, f2: float, even: float, odd: float, balanced: bool = True):
+    """The round on weight tuples: its 16 terms in (i1, i2) order, each product left to right."""
+    if balanced:  # swap the phi- and psi- weights
+        u0, u3, u2, u1 = w1
+        v0, v3, v2, v1 = w2
+    else:
+        u0, u1, u2, u3 = w1
+        v0, v1, v2, v3 = w2
+    a0, a1, a2, a3 = f2 * u0, f2 * u1, f2 * u2, f2 * u3  # the products' common first factor
+    floor = (1.0 - f2) / 8.0
+    o0 = floor + a0 * v0 * even + a0 * v2 * odd + a1 * v1 * even + a1 * v3 * odd
+    o1 = floor + a0 * v1 * even + a0 * v3 * odd + a1 * v0 * even + a1 * v2 * odd
+    o2 = floor + a2 * v0 * odd + a2 * v2 * even + a3 * v1 * odd + a3 * v3 * even
+    o3 = floor + a2 * v1 * odd + a2 * v3 * even + a3 * v0 * odd + a3 * v2 * even
+    p_puri = ((o0 + o1) + o2) + o3
+    if p_puri < 1e-12:
+        raise PurificationError(
+            "purification round degenerated: acceptance probability below 1e-12"
+        )
+    return _bell_weights((o0 / p_puri, o1 / p_puri, o2 / p_puri, o3 / p_puri)), p_puri
+
+
+def _constants(params: GateNoiseParams) -> tuple:
+    """``_round``'s f_op^2 and the acceptance of an even and of an odd parity."""
+    eta = params.eta_meas
+    return params.f_op**2, eta**2 + (1 - eta) ** 2, 2 * eta * (1 - eta)
 
 
 def purify_round_weights(
@@ -170,23 +197,8 @@ def purify_round_weights(
     when odd. Gate noise contributes a fully mixed floor of (1-f^2)/8 per
     Bell weight and (1-f^2)/2 to the acceptance probability.
     """
-    w1, w2 = kept.weights, sacrificed.weights
-    if balanced:  # swap the phi- and psi- weights
-        w1 = (w1[0], w1[3], w1[2], w1[1])
-        w2 = (w2[0], w2[3], w2[2], w2[1])
-    f2 = params.f_op**2
-    eta = params.eta_meas
-    accept = (eta**2 + (1 - eta) ** 2, 2 * eta * (1 - eta))
-    out = [(1.0 - f2) / 8.0] * 4
-    for i1, i2, k, parity in _ROUND_TERMS:
-        out[k] += f2 * w1[i1] * w2[i2] * accept[parity]
-    o0, o1, o2, o3 = out
-    p_puri = ((o0 + o1) + o2) + o3
-    if p_puri < 1e-12:
-        raise PurificationError(
-            "purification round degenerated: acceptance probability below 1e-12"
-        )
-    return BellDiagonalState((o0 / p_puri, o1 / p_puri, o2 / p_puri, o3 / p_puri)), p_puri
+    weights, p_puri = _round(kept.weights, sacrificed.weights, *_constants(params), balanced)
+    return BellDiagonalState._checked(weights), p_puri
 
 
 def purify_ladder_weights(
@@ -195,10 +207,11 @@ def purify_ladder_weights(
     """Nested recurrence on Bell weights: (states after 0..n rounds, P_puri per round)."""
     if n < 0:
         raise ValueError("round count must be nonnegative")
-    states, p_list = [initial], []
+    f2, even, odd = _constants(params)
+    states, p_list, weights = [initial], [], initial.weights
     for _ in range(n):
-        state, p_puri = purify_round_weights(states[-1], states[-1], params)
-        states.append(state)
+        weights, p_puri = _round(weights, weights, f2, even, odd)
+        states.append(BellDiagonalState._checked(weights))
         p_list.append(p_puri)
     return tuple(states), tuple(p_list)
 
@@ -211,13 +224,14 @@ def fixed_point_fidelity(
     seed_fidelity: float = 0.95,
 ) -> float:
     """Iterate the round on Bell weights from a Werner seed until |dF| < tolerance."""
-    state = BellDiagonalState.werner(seed_fidelity)
-    fid = state.fidelity
+    constants = _constants(params)
+    weights = BellDiagonalState.werner(seed_fidelity).weights
+    fid = weights[2]  # BELL_LABELS.index(PSI_PLUS)
     for _ in range(max_rounds):
-        state, _ = purify_round_weights(state, state, params)
-        if abs(state.fidelity - fid) < tolerance:
-            return state.fidelity
-        fid = state.fidelity
+        weights, _ = _round(weights, weights, *constants)
+        if abs(weights[2] - fid) < tolerance:
+            return weights[2]
+        fid = weights[2]
     raise RuntimeError(
         f"purification fixed point did not converge within {max_rounds} rounds"
     )

@@ -132,11 +132,29 @@ class DensityMatrix:
             raise PhysicalityError(f"negative eigenvalue {min_eig} below -{PSD_ATOL}")
 
 
+def _bell_weights(w: tuple) -> tuple:
+    """Every state's weights: checked, clipped to [0, 1], renormalized; sums run left to right."""
+    w0, w1, w2, w3 = w
+    lo, hi = -1e-9, 1 + 1e-9
+    if w0 < lo or w1 < lo or w2 < lo or w3 < lo or w0 > hi or w1 > hi or w2 > hi or w3 > hi:
+        raise ValueError(f"Bell weights out of [0, 1]: {np.array(w, dtype=float)}")
+    total = 0.0 + w0 + w1 + w2 + w3  # numpy's order: from 0.0, so four -0.0 sum to 0.0
+    if not math.isfinite(total):  # in range, so a NaN weight
+        raise ValueError("Bell weights must be finite")
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"Bell weights sum to {total}, expected 1")
+    if not (0.0 <= w0 <= 1.0 and 0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0 and 0.0 <= w3 <= 1.0):
+        # np.clip(w, 0, 1); like numpy's, max keeps -0.0
+        w0, w1, w2, w3 = [min(max(x, 0.0), 1.0) for x in w]
+    total = ((w0 + w1) + w2) + w3
+    return (w0 / total, w1 / total, w2 / total, w3 / total)
+
+
 @dataclass(frozen=True, eq=False)
 class BellDiagonalState:
     """Weights on the four Bell projectors, ordered as BELL_LABELS, as a tuple of floats.
 
-    Lists and arrays are converted. Sums run left to right, as numpy sums four floats.
+    Lists and arrays are converted; ``_bell_weights`` checks and normalizes them.
     """
 
     weights: tuple
@@ -148,20 +166,14 @@ class BellDiagonalState:
             w = tuple(w.tolist()) if w.ndim == 1 else ()
         if len(w) != 4:
             raise ValueError("BellDiagonalState needs exactly four weights")
-        w0, w1, w2, w3 = w
-        lo, hi = -1e-9, 1 + 1e-9
-        if w0 < lo or w1 < lo or w2 < lo or w3 < lo or w0 > hi or w1 > hi or w2 > hi or w3 > hi:
-            raise ValueError(f"Bell weights out of [0, 1]: {np.array(w, dtype=float)}")
-        total = 0.0 + w0 + w1 + w2 + w3  # numpy's order: from 0.0, so four -0.0 sum to 0.0
-        if not math.isfinite(total):  # in range, so a NaN weight
-            raise ValueError("Bell weights must be finite")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"Bell weights sum to {total}, expected 1")
-        if not (0.0 <= w0 <= 1.0 and 0.0 <= w1 <= 1.0 and 0.0 <= w2 <= 1.0 and 0.0 <= w3 <= 1.0):
-            # np.clip(w, 0, 1); like numpy's, max keeps -0.0
-            w0, w1, w2, w3 = [min(max(x, 0.0), 1.0) for x in w]
-        total = ((w0 + w1) + w2) + w3
-        object.__setattr__(self, "weights", (w0 / total, w1 / total, w2 / total, w3 / total))
+        object.__setattr__(self, "weights", _bell_weights(w))
+
+    @classmethod
+    def _checked(cls, weights: tuple) -> "BellDiagonalState":
+        """A state around weights that ``_bell_weights`` returned, not normalized again."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "weights", weights)
+        return state
 
     @classmethod
     def werner(cls, fidelity: float) -> "BellDiagonalState":

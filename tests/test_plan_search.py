@@ -399,6 +399,29 @@ def test_equal_t_qr_breaks_ties_by_n2_then_n1(t_proj_us, p_post, cells, best):
     assert plan == reference
 
 
+def _first_p(p):
+    """Patch ``chain.purify_ladder_weights`` to report ``p`` as each ladder's first P_puri."""
+    ladder = chain.purify_ladder_weights
+
+    def patched(initial, n, params):
+        states, p_list = ladder(initial, n, params)
+        return states, (p, *p_list[1:])
+
+    return patch.object(chain, "purify_ladder_weights", patched)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.5])
+def test_a_p_puri_outside_the_unit_interval_is_an_error(p):
+    message = f"p_puri {p} outside (0, 1]"
+    with _first_p(p), pytest.raises(ValueError) as raised:
+        chain.plan_columns([40.0], [3], [False], CavityParams(), *DEFAULTS)
+    assert str(raised.value) == message
+    out, err = io.StringIO(), io.StringIO()
+    with _first_p(p), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["chain", "--stations", "3", "--distance-km", "40"])
+    assert (rc, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
+
+
 def _cli(*argv, src=SRC):
     """``python -B -m qrepsim`` in a bare environment: no bytecode is written under ``src``."""
     env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}

@@ -39,7 +39,7 @@ from qrepsim import (
     rate_vs_distance,
 )
 from qrepsim.chain import chain_fidelity_table, check_stations
-from qrepsim import cli
+from qrepsim import cli, purify, states
 from qrepsim.cli import build_parser, main
 from qrepsim.link import expected_esta, qc_zone_state
 from test_plan_search import DEFAULTS, designs, stations
@@ -173,15 +173,31 @@ noises = st.builds(
 
 @contextlib.contextmanager
 def _every_state():
-    """Collect the weights of every BellDiagonalState built inside the block."""
-    built = []
-    validate = BellDiagonalState.__post_init__
+    """Collect the weights of every BellDiagonalState built inside the block.
 
-    def record(state):
-        validate(state)
-        built.append(state.weights)
+    Every state's weights are a return of ``states._bell_weights``: the
+    constructor's hook calls it, and the purification kernel calls it and
+    wraps what it returns with ``BellDiagonalState._checked``. So the block
+    records each return in both modules that bind the function, and fails
+    if ``_checked`` wraps weights that were not recorded.
+    """
+    built, seen = [], set()
+    validate, wrap = states._bell_weights, BellDiagonalState._checked
 
-    with mock.patch.object(BellDiagonalState, "__post_init__", record):
+    def record(w):
+        weights = validate(w)
+        built.append(weights)
+        seen.add(id(weights))  # built keeps each tuple alive, so ids stay unique
+        return weights
+
+    def checked(cls, weights):
+        assert id(weights) in seen
+        return wrap(weights)
+
+    with contextlib.ExitStack() as stack:
+        for module in (states, purify):
+            stack.enter_context(mock.patch.object(module, "_bell_weights", record))
+        stack.enter_context(mock.patch.object(BellDiagonalState, "_checked", classmethod(checked)))
         yield built
 
 

@@ -5,9 +5,10 @@ purification round, ladder and swap that the package ran before. The
 package runs the same arithmetic on four Python floats in the same order.
 On generated states and noise settings every weight and P_puri must be the
 same float (compared by ``float.hex``, so even the sign of a zero counts),
-and every error must have the same type and message. The one intended
-difference: a NaN weight, which the numpy validation let through, is
-rejected. Generation is derandomized so the suite is repeatable.
+and every error must have the same type and message; so must the value of
+``fixed_point_fidelity`` and the loop it ran, on the reference round. The
+one intended difference: a NaN weight, which the numpy validation let
+through, is rejected. Generation is derandomized so the suite is repeatable.
 """
 
 import math
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 
 import scalar_engine as ref
 from qrepsim import (
+    IDEAL_OPS,
     BellDiagonalState,
     GateNoiseParams,
     bell_measurement,
+    fixed_point_fidelity,
     purify_ladder_weights,
     purify_round_weights,
 )
@@ -143,6 +146,86 @@ def test_ladder_equals_reference(initial, n, noise):
         _outcome(ref.purify_ladder_weights, ref.BellDiagonalState(initial), n, noise),
         _ladder,
     )
+
+
+# one-hot, half and quarter weights, some -0.0, each nudged by up to 2e-9 past
+# 0 and 1: the clip, the +-1e-9 range check and the sum check all run, and
+# an input that one side rejects the other must reject with the same message
+edges = st.tuples(
+    st.sampled_from(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [-0.0, -0.0, 1.0, -0.0],
+            [0.0, 1.0, -0.0, 0.0],
+            [0.5, -0.0, 0.5, 0.0],
+            [0.25, 0.25, 0.25, 0.25],
+        ]
+    ),
+    nudges,
+).map(lambda bn: [x + d for x, d in zip(*bn)])
+
+
+@EXACT
+@given(kept=edges, sacrificed=edges, noise=noises, balanced=st.booleans(), n=st.integers(0, 6))
+# phi+ against psi+ with perfect gates and readout: P_puri = 0, so the round degenerates
+@example([1.0, 0.0, -0.0, 0.0], [0.0, -0.0, 1.0, 0.0], IDEAL_OPS, False, 3)
+@example([-1e-9, 0.0, 1.0 + 1e-9, 0.0], [1e-9, 0.0, 1.0, -1e-9], IDEAL_OPS, True, 2)  # both clip
+@example([-2e-9, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], IDEAL_OPS, True, 1)  # out of range
+@example([2e-9, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], IDEAL_OPS, True, 1)  # sum off by 2e-9
+def test_kernel_equals_reference_at_the_edges(kept, sacrificed, noise, balanced, n):
+    """Rounds and ladders run the kernel: its outputs are checked once and never renormalized."""
+    for w in (kept, sacrificed):
+        _same(_outcome(BellDiagonalState, w), _outcome(ref.BellDiagonalState, w), _state)
+    if any(_outcome(ref.BellDiagonalState, w)[0] == "error" for w in (kept, sacrificed)):
+        return
+    package = BellDiagonalState(kept), BellDiagonalState(sacrificed), noise, balanced
+    reference = ref.BellDiagonalState(kept), ref.BellDiagonalState(sacrificed), noise, balanced
+    _same(
+        _outcome(purify_round_weights, *package),
+        _outcome(ref.purify_round_weights, *reference),
+        _round,
+    )
+    _same(
+        _outcome(purify_ladder_weights, package[0], n, noise),
+        _outcome(ref.purify_ladder_weights, reference[0], n, noise),
+        _ladder,
+    )
+
+
+def _reference_fixed_point(params, *, tolerance, max_rounds, seed_fidelity):
+    """The fixed-point loop on the reference round, as the package ran it before."""
+    state = ref.BellDiagonalState.werner(seed_fidelity)
+    fid = state.fidelity
+    for _ in range(max_rounds):
+        state, _ = ref.purify_round_weights(state, state, params)
+        if abs(state.fidelity - fid) < tolerance:
+            return state.fidelity
+        fid = state.fidelity
+    raise RuntimeError(f"purification fixed point did not converge within {max_rounds} rounds")
+
+
+@EXACT
+@given(
+    noise=st.one_of(st.just(IDEAL_OPS), noises),
+    tolerance=st.sampled_from([1e-9, 1e-12, 0.0]),  # 0: never converges
+    max_rounds=st.sampled_from([64, 3, 0]),
+    seed_fidelity=st.one_of(st.just(0.95), st.floats(0.2, 1.0)),
+)
+@example(IDEAL_OPS, 1e-12, 64, 0.95)  # converges to 1
+@example(GateNoiseParams(f_op=0.9, eta_meas=0.9), 1e-9, 64, 0.95)  # contracts to 0.25
+@example(GateNoiseParams(f_op=0.995, eta_meas=0.99), 0.0, 64, 0.95)  # does not converge
+def test_fixed_point_equals_the_reference_loop(noise, tolerance, max_rounds, seed_fidelity):
+    def outcome(fn):
+        try:
+            return _outcome(fn)
+        except RuntimeError as exc:  # no convergence
+            return ("error", type(exc), str(exc))
+
+    kwargs = dict(tolerance=tolerance, max_rounds=max_rounds, seed_fidelity=seed_fidelity)
+    package = outcome(lambda: fixed_point_fidelity(noise, **kwargs))
+    reference = outcome(lambda: _reference_fixed_point(noise, **kwargs))
+    _same(package, reference, float.hex)
 
 
 @EXACT
