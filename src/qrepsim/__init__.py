@@ -14,6 +14,7 @@ from .link import (
     CavityParams,
     LinkBudget,
     LinkParams,
+    classical_delay_us,
     expected_esta,
     herald_success,
     heralded_state,
@@ -32,7 +33,6 @@ from .schedule import (
     OperationTimings,
     ScheduleResult,
     calibrate_t_proj,
-    classical_delay_us,
     rate_fidelity_curve,
     t_eg,
     t_puri,

@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import C_VAC_M_PER_S, CavityParams, LinkParams, expected_esta, qc_zone_state
+from .link import C_VAC_M_PER_S, CavityParams, LinkParams, classical_delay_us, expected_esta
+from .link import qc_zone_state
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
-from .schedule import OperationTimings, classical_delay_us
+from .schedule import OperationTimings
 from .states import BellDiagonalState, check_positive
 # purify_n_rounds, expand_operator: unused, but bench/test_spans.py checks they are bound here
 from .purify import purify_n_rounds  # noqa: F401
@@ -126,6 +127,7 @@ def bell_measurement(
 
 def t_repe(t_proj_us: float, total_length_km: float) -> float:
     """Swap-stage time: classical relay over L/2 plus one readout; L may be a 1-D array."""
+    # not classical_delay_us(L / 2): its last bit differs for L near overflow or subnormal
     return total_length_km * 1e3 / (2 * C_VAC_M_PER_S) * 1e6 + t_proj_us
 
 

@@ -169,8 +169,8 @@ def _finite_float(text: str) -> float:
 
 def _parse_distances(text: str):
     try:
-        grid, _, scale = text.partition(",")
-        scale = scale or "log"
+        grid, comma, scale = text.partition(",")
+        scale = scale if comma else "log"
         lo, hi, points = grid.split(":")
         lo, hi, points = float(lo), float(hi), int(points)
         if not (0 < lo <= hi < math.inf) or points < 1:

@@ -37,6 +37,11 @@ ESTA_CONVENTIONS = ("text", "table")
 CZ_ACCOUNTINGS = ("paper", "per_cavity")
 
 
+def classical_delay_us(l_km: float) -> float:
+    """One-way classical signalling time over l_km (a float or an array) at vacuum light speed."""
+    return l_km * 1e3 / C_VAC_M_PER_S * 1e6
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Atom-cavity rates, configured in units of 2*pi MHz (amplitude decay)."""
@@ -178,7 +183,7 @@ def expected_esta(
     l_m = length_km * 1e3
     flight_us = l_m / (C_VAC_M_PER_S / lp.fiber_index) * 1e6
     if lp.esta_convention == "text":
-        flight_us += l_m / C_VAC_M_PER_S * 1e6
+        flight_us += classical_delay_us(length_km)
     t_attempt = pulse_us + flight_us
     p_succ = herald_success(p, lp, length_km, fc)
     if lp.herald_mode == "serial":

@@ -16,10 +16,11 @@ first round instead of converging to the high-fidelity plateau.
 The engine runs rounds on four float Bell weights (``purify_round_weights``,
 ``purify_ladder_weights``, ``fixed_point_fidelity``): gate noise leaves the
 maximally mixed state, so a round never leaves the Bell-diagonal manifold.
-All three wrap ``_round``, which writes the round's 16 terms out on weight
-tuples and checks each output once, through ``states._bell_weights``.
+All three wrap ``_round``, which writes the balanced round's 16 terms out on
+weight tuples and checks each output once, through ``states._bell_weights``.
 ``purify_round`` and ``purify_n_rounds`` are the 16-dimensional dense
-reference it is tested against.
+reference it is tested against; only they can skip the balancing
+(``balanced=False``), to show the divergence.
 """
 
 from __future__ import annotations
@@ -155,14 +156,10 @@ def purify_n_rounds(
     return PurificationSchedule(n_rounds=n, rounds=tuple(rounds), initial_state=initial)
 
 
-def _round(w1: tuple, w2: tuple, f2: float, even: float, odd: float, balanced: bool = True):
-    """The round on weight tuples: its 16 terms in (i1, i2) order, each product left to right."""
-    if balanced:  # swap the phi- and psi- weights
-        u0, u3, u2, u1 = w1
-        v0, v3, v2, v1 = w2
-    else:
-        u0, u1, u2, u3 = w1
-        v0, v1, v2, v3 = w2
+def _round(w1: tuple, w2: tuple, f2: float, even: float, odd: float):
+    """The balanced round on weight tuples: 16 terms in (i1, i2) order, products left to right."""
+    u0, u3, u2, u1 = w1  # the balancing rotation swaps the phi- and psi- weights
+    v0, v3, v2, v1 = w2
     a0, a1, a2, a3 = f2 * u0, f2 * u1, f2 * u2, f2 * u3  # the products' common first factor
     floor = (1.0 - f2) / 8.0
     o0 = floor + a0 * v0 * even + a0 * v2 * odd + a1 * v1 * even + a1 * v3 * odd
@@ -187,9 +184,8 @@ def purify_round_weights(
     kept: BellDiagonalState,
     sacrificed: BellDiagonalState,
     params: GateNoiseParams,
-    balanced: bool = True,
 ) -> tuple[BellDiagonalState, float]:
-    """Bell-diagonal fast path, exactly equal to the full circuit.
+    """Bell-diagonal fast path, exactly equal to the full balanced circuit.
 
     The bilateral CNOT maps Bell labels (a1,b1),(a2,b2) to
     (a1^a2, b1),(a2, b1^b2); the measured parity is the target pair's b bit,
@@ -197,7 +193,7 @@ def purify_round_weights(
     when odd. Gate noise contributes a fully mixed floor of (1-f^2)/8 per
     Bell weight and (1-f^2)/2 to the acceptance probability.
     """
-    weights, p_puri = _round(kept.weights, sacrificed.weights, *_constants(params), balanced)
+    weights, p_puri = _round(kept.weights, sacrificed.weights, *_constants(params))
     return BellDiagonalState._checked(weights), p_puri
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .link import C_VAC_M_PER_S, CavityParams, LinkParams, configured_esta, qc_zone_state
+from .link import CavityParams, LinkParams, classical_delay_us, configured_esta, qc_zone_state
 from .noise import GateNoiseParams
 from .purify import purify_ladder_weights
 from .states import BellDiagonalState, check_finite, check_positive
@@ -30,11 +30,6 @@ from .states import BellDiagonalState, check_finite, check_positive
 from .purify import purify_n_rounds  # noqa: F401
 
 MOVE_ACCOUNTINGS = ("averaged", "explicit")
-
-
-def classical_delay_us(l_km: float) -> float:
-    """One-way classical signalling time over l_km (a float or an array) at vacuum light speed."""
-    return l_km * 1e3 / C_VAC_M_PER_S * 1e6
 
 
 @dataclass(frozen=True)

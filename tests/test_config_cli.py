@@ -269,8 +269,14 @@ def test_cli_sweep_prints_each_row_once(capsys, repeated, once):
     assert repeated_out == capsys.readouterr().out
 
 
-def test_cli_sweep_bad_distances(capsys):
-    assert main(["sweep", "--distances", "bogus"]) == 2
+@pytest.mark.parametrize("distances", ["bogus", "1:500:40,"])
+def test_cli_sweep_bad_distances(capsys, distances):
+    assert main(["sweep", "--distances", distances]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: bad --distances {distances!r}; expected lo:hi:points[,log|lin]\n"
+    )
 
 
 @pytest.mark.parametrize("stations", ["x", "2,,5", "2.5"])

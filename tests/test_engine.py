@@ -87,27 +87,32 @@ def test_swap_equals_dense(left, right, f_op, eta):
     balanced=st.booleans(),
 )
 def test_purify_round_equals_dense(kept, sacrificed, f_op, eta, balanced):
+    """Dense and oracle rounds agree with and without balancing; the engine runs only with it."""
     params = GateNoiseParams(f_op=f_op, eta_meas=eta)
+    rho_kept, rho_sacrificed = kept.to_density_matrix(), sacrificed.to_density_matrix()
     try:
-        engine, p_puri = purify_round_weights(kept, sacrificed, params, balanced)
+        full = purify_round(rho_kept, rho_sacrificed, params, balanced)
     except PurificationError:
         assume(False)
     # stay clear of the 1e-12 degeneracy cut, where either path may raise
-    assume(p_puri > 1e-9)
-    rho_kept, rho_sacrificed = kept.to_density_matrix(), sacrificed.to_density_matrix()
-    full = purify_round(rho_kept, rho_sacrificed, params, balanced)
+    assume(full.p_puri > 1e-9)
     package, leakage = to_bell_diagonal(full.output_state)
     p_ref, out_ref = oracle.purify_round(
         rho_kept.matrix, rho_sacrificed.matrix, f_op, eta, balanced
     )
     reference, oracle_leakage = oracle.bell_weights(out_ref)
-    # compare the accepted (unnormalized) state: dividing by a small P_puri
+    # compare the accepted (unnormalized) states: dividing by a small P_puri
     # would magnify the round-off differences between the paths
-    accepted = np.asarray(engine.weights) * p_puri
-    assert abs(p_puri - full.p_puri) <= TOL and abs(p_puri - p_ref) <= TOL
+    dense_accepted = np.asarray(package.weights) * full.p_puri
+    assert abs(full.p_puri - p_ref) <= TOL
     assert leakage * full.p_puri <= TOL and oracle_leakage * p_ref <= TOL
-    assert _max_diff(accepted, np.asarray(package.weights) * full.p_puri) <= TOL
-    assert _max_diff(accepted, reference * p_ref) <= TOL
+    assert _max_diff(dense_accepted, reference * p_ref) <= TOL
+    if balanced:
+        engine, p_puri = purify_round_weights(kept, sacrificed, params)
+        accepted = np.asarray(engine.weights) * p_puri
+        assert abs(p_puri - full.p_puri) <= TOL and abs(p_puri - p_ref) <= TOL
+        assert _max_diff(accepted, dense_accepted) <= TOL
+        assert _max_diff(accepted, reference * p_ref) <= TOL
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)

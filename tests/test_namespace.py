@@ -22,6 +22,7 @@ ENGINE = {
         "CavityParams",
         "LinkBudget",
         "LinkParams",
+        "classical_delay_us",
         "expected_esta",
         "herald_success",
         "heralded_state",
@@ -40,7 +41,6 @@ ENGINE = {
         "OperationTimings",
         "ScheduleResult",
         "calibrate_t_proj",
-        "classical_delay_us",
         "rate_fidelity_curve",
         "t_eg",
         "t_puri",

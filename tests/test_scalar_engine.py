@@ -124,13 +124,12 @@ def test_werner_equals_reference(f):
 
 
 @EXACT
-@given(kept=states, sacrificed=states, noise=noises, balanced=st.booleans())
+@given(kept=states, sacrificed=states, noise=noises)
 # phi+ against psi+ is always rejected by perfect readout: P_puri = 0
-@example([1.0, 0, 0, 0], [0, 0, 1.0, 0], GateNoiseParams(1.0, 1.0), False)
-@example([1.0, 0, 0, 0], [0, 0, 1.0, 0], GateNoiseParams(1.0, 1.0), True)
-def test_round_equals_reference(kept, sacrificed, noise, balanced):
-    package = (BellDiagonalState(kept), BellDiagonalState(sacrificed), noise, balanced)
-    reference = (ref.BellDiagonalState(kept), ref.BellDiagonalState(sacrificed), noise, balanced)
+@example([1.0, 0, 0, 0], [0, 0, 1.0, 0], GateNoiseParams(1.0, 1.0))
+def test_round_equals_reference(kept, sacrificed, noise):
+    package = (BellDiagonalState(kept), BellDiagonalState(sacrificed), noise)
+    reference = (ref.BellDiagonalState(kept), ref.BellDiagonalState(sacrificed), noise)
     _same(
         _outcome(purify_round_weights, *package),
         _outcome(ref.purify_round_weights, *reference),
@@ -167,20 +166,20 @@ edges = st.tuples(
 
 
 @EXACT
-@given(kept=edges, sacrificed=edges, noise=noises, balanced=st.booleans(), n=st.integers(0, 6))
+@given(kept=edges, sacrificed=edges, noise=noises, n=st.integers(0, 6))
 # phi+ against psi+ with perfect gates and readout: P_puri = 0, so the round degenerates
-@example([1.0, 0.0, -0.0, 0.0], [0.0, -0.0, 1.0, 0.0], IDEAL_OPS, False, 3)
-@example([-1e-9, 0.0, 1.0 + 1e-9, 0.0], [1e-9, 0.0, 1.0, -1e-9], IDEAL_OPS, True, 2)  # both clip
-@example([-2e-9, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], IDEAL_OPS, True, 1)  # out of range
-@example([2e-9, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], IDEAL_OPS, True, 1)  # sum off by 2e-9
-def test_kernel_equals_reference_at_the_edges(kept, sacrificed, noise, balanced, n):
+@example([1.0, 0.0, -0.0, 0.0], [0.0, -0.0, 1.0, 0.0], IDEAL_OPS, 3)
+@example([-1e-9, 0.0, 1.0 + 1e-9, 0.0], [1e-9, 0.0, 1.0, -1e-9], IDEAL_OPS, 2)  # both clip
+@example([-2e-9, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], IDEAL_OPS, 1)  # out of range
+@example([2e-9, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0], IDEAL_OPS, 1)  # sum off by 2e-9
+def test_kernel_equals_reference_at_the_edges(kept, sacrificed, noise, n):
     """Rounds and ladders run the kernel: its outputs are checked once and never renormalized."""
     for w in (kept, sacrificed):
         _same(_outcome(BellDiagonalState, w), _outcome(ref.BellDiagonalState, w), _state)
     if any(_outcome(ref.BellDiagonalState, w)[0] == "error" for w in (kept, sacrificed)):
         return
-    package = BellDiagonalState(kept), BellDiagonalState(sacrificed), noise, balanced
-    reference = ref.BellDiagonalState(kept), ref.BellDiagonalState(sacrificed), noise, balanced
+    package = BellDiagonalState(kept), BellDiagonalState(sacrificed), noise
+    reference = ref.BellDiagonalState(kept), ref.BellDiagonalState(sacrificed), noise
     _same(
         _outcome(purify_round_weights, *package),
         _outcome(ref.purify_round_weights, *reference),
