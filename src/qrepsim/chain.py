@@ -23,10 +23,11 @@ one bit for bit; the search scores only each N1's first N2 that meets the
 target. A target that no cell meets gives an infeasible plan; a feasible
 best plan whose T_QR overflows to infinity is an error (the CLI exits 2),
 never a feasible row with zero rate. Every query goes through
-``plan_columns``: plans stay columns up to the CLI's one writer, which
-serves ``chain`` and ``sweep`` alike, and ``plan_rows`` expands them into
-rows, which ``rate_vs_distance`` wraps in ``ChainPlan``; ``optimize_plan``
-is ``rate_vs_distance`` on one row.
+``plan_columns``, whose entries (one per M and FC mode) carry their target
+and scored cells, and their plans as columns, to the CLI's one writer, which
+serves ``chain`` and ``sweep`` alike; ``plan_rows`` expands them into rows,
+which ``rate_vs_distance`` wraps in ``ChainPlan``; ``optimize_plan`` is
+``rate_vs_distance`` on one row.
 """
 
 from __future__ import annotations
@@ -193,8 +194,6 @@ def _rows(
     scalar checks, which raise the first failing row's error in (L, M, fc)
     order.
     """
-    if not (stations and fc_modes):
-        return []  # no rows, so nothing to check
     t_proj = timings_template.t_proj_us
     columns = []
     # NaN lengths and T_esta overflow (past about 1012 km) or herald success 0 give no warning
@@ -229,54 +228,53 @@ def _search(
     fidelity_target: float,
     timings_template: OperationTimings,
     table: ChainFidelityTable,
-    n_max: int,
 ) -> tuple:
-    """Best plans of one ``_rows`` entry, as columns: (M, fc, feasible, cells, best, t_qr, rate).
+    """One ``_rows`` entry's best plans: (M, fc, target, feasible, cells, best, t_qr, rate).
 
-    ``best`` holds each length's cell N2 * (n_max + 1) + N1, ``cells`` maps
-    each cell in it to (N1, N2, f_m), and ``t_qr`` and ``rate`` are floats.
-    T_QR never falls as N2 grows at a fixed N1 (2^N2 doubles the pair time,
-    the post-swap sum only adds positive steps), so each N1's first feasible
-    N2 is its best plan and wins a tie. T_QR is built over these candidates
-    in (N2, N1) order, a round at a time in the scalar formula's order, so it
-    equals that formula bit for bit, and each row's first minimum is the grid's.
+    N1 and N2 range over the table's rounds. ``cells`` lists the scored (N1,
+    N2, f_m) in the (N2, N1) order ties go, ``best`` each length's index into
+    it. T_QR never falls as N2 grows at a fixed N1 (2^N2 doubles the pair
+    time, the post-swap sum only adds positive steps), so each N1's first
+    feasible N2 is its best plan and wins a tie. T_QR is built over the cells,
+    a round at a time in the scalar formula's order, so it equals that formula
+    bit for bit, and each row's first minimum is the grid's. An infeasible
+    entry's one cell is the first best fidelity, N1-major, at zero T_QR and rate.
     """
     m_stations, fc, stage, lc_link, lc_total, repe = column
-    n = n_max + 1
-    end_f = np.array(table.end_fidelities)[:n, :n]
-    feasible = end_f >= fidelity_target - 1e-12  # [N1, N2]
-    # each N1's first feasible N2 as its cell N2 * n + N1, sorted: the (N2, N1) order ties go
-    candidates = sorted(r.index(True) * n + n1 for n1, r in enumerate(feasible.tolist()) if any(r))
-    if candidates:
+    end_f = table.end_fidelities  # [N1][N2]
+    feasible = [[f >= fidelity_target - 1e-12 for f in row] for row in end_f]
+    order = sorted((r.index(True), n1) for n1, r in enumerate(feasible) if True in r)
+    cells = [(n1, n2, end_f[n1][n2]) for n2, n1 in order]
+    if cells:
         t_proj = timings_template.t_proj_us
-        pre_steps = np.array([t_proj / p for p in table.pre_swap_p[:n_max]])
+        pre_steps = np.array([t_proj / p for p in table.pre_swap_p])
         # [N1][k]: the (k+1)-th post-swap round's time after N1 pre-swap rounds
-        end_steps = [[t_proj / p for p in ps[:n_max]] for ps in table.end_p[:n]]
-        n1s, n2s = [c % n for c in candidates], [c // n for c in candidates]
-        doubling = np.array([2.0**k for k in range(n)])  # cheaper than a numpy power for one row
+        end_steps = [[t_proj / p for p in ps] for ps in table.end_p]
+        n2s, n1s = map(list, zip(*order))
+        doubling = np.array([2.0**k for k in range(len(end_f))])  # cheaper than a numpy power
         with np.errstate(over="ignore"):
-            pre_swap = np.zeros((n, len(stage)))  # [N1, row]
+            pre_swap = np.zeros((len(end_f), len(stage)))  # [N1, row]
             # T_EG's purification sums; cumsum adds in order, as the scalar loop does
             np.cumsum(pre_steps[:, None] + lc_link, axis=0, out=pre_swap[1:])
             np.maximum(doubling[:, None] * stage, pre_swap, out=pre_swap)  # in place: less memory
             pair_time = np.add(pre_swap, repe, out=pre_swap)[n1s]  # T_EG(N1) + T_repe
-            t_qr = np.zeros(pair_time.shape)  # [candidate, row]: purification, then T_QR
-            steps = np.array([end_steps[n1][: n2s[-1]] for n1 in n1s])  # [candidate, k]
-            for k in range(n2s[-1]):  # round k adds to the candidates with N2 > k, the last ones
+            t_qr = np.zeros(pair_time.shape)  # [cell, row]: purification, then T_QR
+            steps = np.array([end_steps[n1][: n2s[-1]] for n1 in n1s])  # [cell, k]
+            for k in range(n2s[-1]):  # round k adds to the cells with N2 > k, the last ones
                 later = sum(m <= k for m in n2s)
                 np.add(t_qr[later:], steps[later:, k, None] + lc_total, out=t_qr[later:])
             np.maximum(np.multiply(doubling[n2s, None], pair_time, out=pair_time), t_qr, out=t_qr)
-        best, best_t = np.array(candidates)[t_qr.argmin(axis=0)], t_qr.min(axis=0)
-        if not np.isfinite(best_t).all():
+            best_t = t_qr.min(axis=0)
+            rate = (timings_template.parallel_links * 1e6 / best_t).tolist()
+        best, best_t = t_qr.argmin(axis=0).tolist(), best_t.tolist()
+        if math.inf in best_t:
             raise ValueError("t_qr_us must be finite, got inf")
-        rate = timings_template.parallel_links * 1e6 / best_t
-    else:  # the first best fidelity, N1-major, at zero T_QR and rate
-        n1, n2 = divmod(int(end_f.argmax()), n)
-        best, best_t = np.full(len(stage), n2 * n + n1), np.zeros(len(stage))
+    else:
+        cells = [max(((n1, n2, f) for n1, row in enumerate(end_f) for n2, f in enumerate(row)),
+                     key=lambda cell: cell[2])]
+        best, best_t = [0] * len(stage), [0.0] * len(stage)
         rate = best_t
-    best = best.tolist()
-    cells = {c: (c % n, c // n, table.end_fidelities[c % n][c // n]) for c in set(best)}
-    return m_stations, fc, bool(candidates), cells, best, best_t.tolist(), rate.tolist()
+    return m_stations, fc, fidelity_target, bool(order), cells, best, best_t, rate
 
 
 def plan_columns(
@@ -295,20 +293,21 @@ def plan_columns(
     levels = {m_stations: check_stations(m_stations) for m_stations in stations}
     tables = {k: chain_fidelity_table(initial, k, noise, n_max) for k in set(levels.values())}
     lengths, stations, fc_modes = sorted(distances_km), sorted(stations), sorted(fc_modes)
-    if lengths and stations and fc_modes:
-        _check_query(lengths[0], fidelity_target)  # the first row's, before any column is built
+    if not (lengths and stations and fc_modes):
+        return lengths, []
+    _check_query(lengths[0], fidelity_target)  # the first row's, before any column is built
     columns = _rows(lengths, stations, fc_modes, cavity, link_template, timings_template)
     return lengths, [
-        _search(c, fidelity_target, timings_template, tables[levels[c[0]]], n_max) for c in columns
+        _search(c, fidelity_target, timings_template, tables[levels[c[0]]]) for c in columns
     ]
 
 
-def plan_rows(lengths, entries, fidelity_target) -> list[tuple]:
-    """``plan_columns``'s plans as tuples in ``ChainPlan`` field order, by length, then entry."""
+def plan_rows(lengths, entries) -> list[tuple]:
+    """``plan_columns``'s plans as ``ChainPlan`` field tuples, by length, then entry."""
     by_entry = [
-        [(m_stations, length, fc, fidelity_target, *cells[cell], t_qr, rate, feasible)
+        [(m_stations, length, fc, target, *cells[cell], t_qr, rate, feasible)
          for length, cell, t_qr, rate in zip(lengths, *columns)]
-        for m_stations, fc, feasible, cells, *columns in entries
+        for m_stations, fc, target, feasible, cells, *columns in entries
     ]
     return [row for same_length in zip(*by_entry) for row in same_length]
 
@@ -335,7 +334,7 @@ def rate_vs_distance(
         distances_km, stations, fc_modes, cavity, link_template, noise, timings_template,
         fidelity_target, n_max,
     )
-    return [ChainPlan(*row) for row in plan_rows(*columns, fidelity_target)]
+    return [ChainPlan(*row) for row in plan_rows(*columns)]
 
 
 def optimize_plan(

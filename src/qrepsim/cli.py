@@ -120,13 +120,13 @@ _PLAN_COLUMNS = ("total_length_km", "m_stations", "fc", "target", "n1", "n2", "f
 
 
 class _Plans:
-    """Plans at one target, a chain's or a sweep's: the lengths and entries of ``plan_columns``."""
+    """Plans of a chain or a sweep: ``plan_columns``'s lengths and entries, each with its target."""
 
-    def __init__(self, lengths, entries, target):
-        self.lengths, self.entries, self.target = lengths, entries, target
+    def __init__(self, lengths, entries):
+        self.lengths, self.entries = lengths, entries
 
     def __iter__(self):  # rows in _PLAN_COLUMNS order (FC as 1/0), by length, then entry
-        for m_stations, length, fc, *rest in plan_rows(self.lengths, self.entries, self.target):
+        for m_stations, length, fc, *rest in plan_rows(self.lengths, self.entries):
             yield (length, m_stations, int(fc), *rest)
 
     def csv_lines(self) -> list[str]:
@@ -134,10 +134,10 @@ class _Plans:
         feasible as text; each length and cell's "n1,n2,f_m" is formatted once."""
         lengths = [_FLOAT % length for length in self.lengths]
         templates, arguments = [], []
-        for m_stations, fc, feasible, cells, best, t_qr, rate in self.entries:
-            head = ",".join(map(_format_value, (m_stations, int(fc), self.target)))
+        for m_stations, fc, target, feasible, cells, best, t_qr, rate in self.entries:
+            head = ",".join(map(_format_value, (m_stations, int(fc), target)))
             templates.append(f"%s,{head},%s,{_FLOAT},{_FLOAT},{_format_value(feasible)}")
-            texts = {cell: ",".join(map(_format_value, fields)) for cell, fields in cells.items()}
+            texts = [f"%d,%d,{_FLOAT}" % cell for cell in cells]  # (N1, N2, f_m)
             arguments += (lengths, map(texts.__getitem__, best), t_qr, rate)
         template = "\n".join(templates)
         return [template % group for group in zip(*arguments)]
@@ -147,10 +147,10 @@ def cmd_chain(config: Config, args) -> int:
     target = config.fidelity_target if args.target is None else args.target
     plans = plan_columns([args.distance_km], [args.stations], [args.fc], *records(config),
                          fidelity_target=target)
-    emit(args.out, args.format, _PLAN_COLUMNS, _Plans(*plans, target), config)
-    ((_, _, feasible, cells, (best,), _, _),) = plans[1]  # the one entry, at the one length
+    emit(args.out, args.format, _PLAN_COLUMNS, _Plans(*plans), config)
+    ((_, _, target, feasible, cells, _, _, _),) = plans[1]  # the one entry, at the one length
     if not feasible:
-        n1, n2, f_m = cells[best]
+        ((n1, n2, f_m),) = cells  # an infeasible entry's one cell
         print(f"infeasible: no plan with N1, N2 <= {N_MAX} reaches target {_format_value(target)}; "
               f"best f_m {_FLOAT % f_m} at N1={n1}, N2={n2}", file=sys.stderr)
     return 0 if feasible else 3
@@ -197,10 +197,10 @@ def cmd_sweep(config: Config, args) -> int:
     # a repeated station count or distance would repeat its rows
     stations = list(dict.fromkeys(_parse_stations(args.stations)))
     fc_modes = {"both": (False, True), "on": (True,), "off": (False,)}[args.fc]
-    target = config.fidelity_target
     lengths = list(dict.fromkeys(_parse_distances(args.distances)))
-    plans = plan_columns(lengths, stations, fc_modes, *records(config), fidelity_target=target)
-    emit(args.out, args.format, _PLAN_COLUMNS, _Plans(*plans, target), config)
+    plans = plan_columns(lengths, stations, fc_modes, *records(config),
+                         fidelity_target=config.fidelity_target)
+    emit(args.out, args.format, _PLAN_COLUMNS, _Plans(*plans), config)
     return 0
 
 

@@ -195,7 +195,7 @@ def test_plan_writer_prints_the_per_cell_text_of_python_and_numpy_floats(
         columns = plan_columns(*args, fidelity_target=target)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli.emit("-", fmt, cli._PLAN_COLUMNS, cli._Plans(*columns, target), config)
+            cli.emit("-", fmt, cli._PLAN_COLUMNS, cli._Plans(*columns), config)
         return out.getvalue()
 
     assert _outcome(write) == plans

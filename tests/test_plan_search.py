@@ -6,8 +6,10 @@ On generated chains, options and targets, ``optimize_plan`` and
 compared with ``==`` and by type, or raise the same error. The one intended
 difference: where the loop reports a feasible plan whose T_QR overflowed to
 infinity, the package raises ``ValueError``. Hand-built tables reach the
-package by patching ``chain.chain_fidelity_table`` for the call, and the
-loop by its ``table`` argument. A larger search bound never loses a plan.
+package by patching ``chain.chain_fidelity_table`` for the call, cut to the
+search bound, and the loop uncut by its ``table`` argument with that bound,
+so cutting a table equals bounding its search. A larger search bound never
+loses a plan.
 Generation is derandomized so the suite is repeatable.
 """
 
@@ -87,6 +89,16 @@ def _target(spec, link, noise, m_stations, n_max):
     )
     cells = sorted(f for row in table.end_fidelities[: n_max + 1] for f in row[: n_max + 1])
     return cells[spec[1] % len(cells)]
+
+
+def _cut(table, n):
+    """The first n rounds of ``table``: the package searches every round of its tables."""
+    return ChainFidelityTable(
+        table.pre_swap_fidelities[: n + 1],
+        table.pre_swap_p[:n],
+        tuple(row[: n + 1] for row in table.end_fidelities[: n + 1]),
+        tuple(row[:n] for row in table.end_p[: n + 1]),
+    )
 
 
 def _outcome(fn, *args, **kwargs):
@@ -231,11 +243,11 @@ def test_optimize_plan_equals_scalar_search(
         target = 0.99 if isinstance(target, tuple) else target
     else:
         target = _target(target, link, noise, m_stations, n_max)
-    # an 8-round table searched only up to n_max, or a table built for n_max
+    # an 8-round table cut to n_max (the loop searches it only up to n_max), or one built for n_max
     table, shared = None, contextlib.nullcontext()
     if shared_table and not isinstance(levels, tuple):
         table = chain_fidelity_table(qc_zone_state(link, noise), levels, noise, 8)
-        shared = patch.object(chain, "chain_fidelity_table", return_value=table)
+        shared = patch.object(chain, "chain_fidelity_table", return_value=_cut(table, n_max))
     args = (m_stations, length, CavityParams(), link, noise, timings)
     kwargs = dict(n_max=n_max, fc=fc, fidelity_target=target)
     reference = _outcome(scalar_search.optimize_plan, *args, table=table, **kwargs)
@@ -364,7 +376,7 @@ def test_search_equals_scalar_search_on_built_tables(
     kwargs = dict(n_max=min(n_max, len(table.pre_swap_p)))
     kwargs.update(fc=fc, fidelity_target=target + offset)
     reference = _outcome(scalar_search.optimize_plan, *args, table=table, **kwargs)
-    with patch.object(chain, "chain_fidelity_table", return_value=table):
+    with patch.object(chain, "chain_fidelity_table", return_value=_cut(table, kwargs["n_max"])):
         assert _observed(_outcome(optimize_plan, *args, **kwargs)) == _expected(reference)
 
 
