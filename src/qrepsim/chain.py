@@ -21,8 +21,8 @@ One array search serves a single chain and a whole sweep: the link budget
 that shares a station count and FC mode, and each value equals the scalar
 one bit for bit; the search scores only each N1's first N2 that meets the
 target. A target that no cell meets gives an infeasible plan; a feasible
-best plan whose T_QR overflows to infinity is an error (the CLI exits 2),
-never a feasible row with zero rate. Every query goes through
+best plan whose T_QR or rate overflows to infinity is an error (the CLI
+exits 2), never a feasible row with a zero or infinite rate. Every query goes through
 ``plan_columns``, whose entries (one per M and FC mode) carry their target
 and scored cells, and their plans as columns, to the CLI's one writer, which
 serves ``chain`` and ``sweep`` alike; ``plan_rows`` expands them into rows,
@@ -67,6 +67,8 @@ def check_stations(m_stations: int) -> int:
     hops = m_stations - 1
     if hops & (hops - 1):
         raise ValueError(f"m_stations - 1 must be a power of two, got {hops}")
+    if hops > 2**1023:  # L / (M - 1) needs M - 1 as a float
+        raise ValueError("m_stations - 1 must be at most 2**1023")
     return int(math.log2(hops))
 
 
@@ -269,6 +271,8 @@ def _search(
         best, best_t = t_qr.argmin(axis=0).tolist(), best_t.tolist()
         if math.inf in best_t:
             raise ValueError("t_qr_us must be finite, got inf")
+        if math.inf in rate:
+            raise ValueError("rate_hz must be finite, got inf")
     else:
         cells = [max(((n1, n2, f) for n1, row in enumerate(end_f) for n2, f in enumerate(row)),
                      key=lambda cell: cell[2])]

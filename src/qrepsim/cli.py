@@ -27,7 +27,7 @@ from .noise import IDEAL_OPS
 # purify_n_rounds: unused, but bench/test_spans.py checks it is bound here
 from .purify import purify_n_rounds  # noqa: F401
 from .schedule import rate_fidelity_curve
-from .states import BellDiagonalState
+from .states import BellDiagonalState, check_positive
 
 
 _FLOAT = "%.9g"  # a float cell's printf spec
@@ -91,6 +91,7 @@ def cmd_link(config: Config, args) -> int:
         "rate_khz": 1e3 / budget.t_esta_us,
         "heralded_fidelity": config.technical_fidelity,
     }
+    check_positive("rate_khz", row["rate_khz"])
     emit(args.out, args.format, list(row), [tuple(row.values())], config)
     return 0
 

@@ -128,8 +128,8 @@ def rate_fidelity_curve(
 
     The default initial state is the heralded pair pushed through the noisy
     swap and transport (the e-bit as it lands in the computation zone). A
-    T_esta or a T_EG that overflows to infinity is an error, never a row
-    with zero rate.
+    T_esta, T_EG or rate that overflows to infinity is an error, never a row
+    with a zero or infinite rate.
     """
     if n_max > 10:
         raise ValueError("n_max above 10 is not supported")
@@ -143,6 +143,8 @@ def rate_fidelity_curve(
     ]
     for result in curve:
         check_positive("t_eg_us", result.t_eg_us)
+    for result in curve:  # a time that overflows is reported first
+        check_positive("rate_hz", result.effective_rate_hz)
     return curve
 
 

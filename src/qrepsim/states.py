@@ -50,10 +50,15 @@ class PhysicalityError(ValueError):
 
 
 def check_finite(params) -> None:
-    """Reject a NaN or infinite float field of a parameter dataclass."""
+    """Reject a NaN or infinite float field, or an int field past the float range, of a record."""
     for name, value in vars(params).items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{name} must lie within the float range") from None
 
 
 def check_positive(name: str, value: float) -> None:

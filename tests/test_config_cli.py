@@ -386,6 +386,57 @@ def test_cli_rejects_an_infinite_time(tmp_path, capsys, length_km, argv, message
     assert captured.out == ""
 
 
+COMMANDS = [["link"], ["purify"], ["chain", "--stations", "5", "--distance-km", "25"],
+            ["sweep", "--distances", "1:10:2"]]
+HUGE = "1" + "0" * 400  # an int that float() cannot hold
+
+
+# An int key past the float range died with an OverflowError traceback (exit 1)
+# wherever a record turned it into a float: parallel_links in every command
+# but link, n_circulators in all four.
+@pytest.mark.parametrize("argv", COMMANDS)
+@pytest.mark.parametrize("key", ["parallel_links", "n_circulators"])
+def test_cli_rejects_an_int_past_the_float_range(tmp_path, capsys, key, argv):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = {HUGE}\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {key} must lie within the float range\n"
+    assert captured.out == ""
+
+
+# A rate that overflowed to infinity printed rate_khz = inf or rate_hz = inf, exit 0.
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("pulse_factor = 1e-306\nlength_km = 1e-320\n", COMMANDS[0], "rate_khz"),
+        *[(f"parallel_links = 1{'0' * 305}\n", argv, "rate_hz") for argv in COMMANDS[1:]],
+    ],
+)
+def test_cli_rejects_an_infinite_rate(tmp_path, capsys, text, argv, message):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(text)
+    assert main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message} must be finite, got inf\n"
+    assert captured.out == ""
+
+
+# M - 1 past 2**1023 died with an OverflowError traceback at L / (M - 1) (exit 1).
+# The largest station count still runs; at 10 km no plan is feasible, so chain exits 3.
+@pytest.mark.parametrize(
+    "command, rc", [(["chain", "--distance-km", "10"], 3), (["sweep", "--distances", "10:10:1"], 0)]
+)
+def test_cli_rejects_a_station_count_past_the_float_range(capsys, command, rc):
+    assert main([*command, "--stations", str(2**1024 + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: m_stations - 1 must be at most 2**1023\n"
+    assert captured.out == ""
+    assert main([*command, "--stations", str(2**1023 + 1)]) == rc
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert (row[1], row[-1]) == (str(2**1023 + 1), "false")
+
+
 def test_cli_purify_keeps_the_largest_finite_rows(tmp_path, capsys):
     cfg = tmp_path / "long.cfg"
     cfg.write_text("length_km = 1000\n")
