@@ -7,8 +7,10 @@ reproducible from the file alone. Floats carry 9 significant digits.
 Exit codes: 0 success, 2 configuration error or unwritable output file,
 3 infeasible target (chain only; stderr names the best cell it reached).
 
-``COMMANDS`` defines the subcommands. A call builds only its subcommand's
-parser; the full parser, built from the same table, serves -h and argument errors.
+``COMMANDS`` declares the subcommands and their options as data, ``_SHARED``
+the options they all take. ``_read_args`` reads a plain argv from that table
+without argparse; the full parser, built from the same table, serves -h,
+abbreviations, --opt=value and every argument error.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def _parse_distances(text: str):
         if scale == "lin":
             return list(np.linspace(lo, hi, points))
         raise ValueError
-    except ValueError:
+    except (ValueError, MemoryError):  # MemoryError: more points than an array can hold
         raise ConfigError(
             f"bad --distances {text!r}; expected lo:hi:points[,log|lin]"
         ) from None
@@ -205,38 +207,30 @@ def cmd_sweep(config: Config, args) -> int:
     return 0
 
 
-def _chain_options(parser) -> None:
-    parser.add_argument("--stations", type=int, required=True)
-    parser.add_argument("--distance-km", type=_finite_float, required=True)
-    parser.add_argument("--fc", action="store_true", help="enable frequency conversion")
-    parser.add_argument("--target", type=_finite_float, default=None)
-
-
-def _sweep_options(parser) -> None:
-    parser.add_argument("--stations", default="2,5,17")
-    parser.add_argument("--distances", default="1:500:40,log")
-    parser.add_argument("--fc", choices=("both", "on", "off"), default="both")
-
-
-# name -> (handler, help line, function that adds the subcommand's own options)
-COMMANDS = {
-    "link": (cmd_link, "heralded-link budget at the configured length", lambda parser: None),
-    "purify": (
-        cmd_purify,
-        "fidelity/rate vs purification rounds",
-        lambda parser: parser.add_argument("--n-max", type=int, default=6),
-    ),
-    "chain": (cmd_chain, "optimized repeater-chain plan", _chain_options),
-    "sweep": (cmd_sweep, "rate vs distance/station grid", _sweep_options),
+# the options every subcommand takes after its own: name -> add_argument keywords
+_SHARED = {
+    "--config": {"default": None, "help": "flat key=value config file"},
+    "--out": {"default": "-", "help": "output path, '-' for stdout"},
+    "--format": {"choices": ("csv", "json"), "default": "csv"},
 }
 
-
-def _add_options(parser, add_own) -> argparse.ArgumentParser:
-    add_own(parser)  # then the options every subcommand shares
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--out", default="-", help="output path, '-' for stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    return parser
+# name -> (handler, help line, its own options: name -> add_argument keywords)
+COMMANDS = {
+    "link": (cmd_link, "heralded-link budget at the configured length", {}),
+    "purify": (cmd_purify, "fidelity/rate vs purification rounds",
+               {"--n-max": {"type": int, "default": 6}}),
+    "chain": (cmd_chain, "optimized repeater-chain plan", {
+        "--stations": {"type": int, "required": True},
+        "--distance-km": {"type": _finite_float, "required": True},
+        "--fc": {"action": "store_true", "help": "enable frequency conversion"},
+        "--target": {"type": _finite_float, "default": None},
+    }),
+    "sweep": (cmd_sweep, "rate vs distance/station grid", {
+        "--stations": {"default": "2,5,17"},
+        "--distances": {"default": "1:500:40,log"},
+        "--fc": {"choices": ("both", "on", "off"), "default": "both"},
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,19 +239,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum repeater link/purification/chain design calculator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_line, add_own) in COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_line), add_own)
+    for name, (_, help_line, own) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for option, keywords in {**own, **_SHARED}.items():
+            command.add_argument(option, **keywords)
     return parser
+
+
+def _read_args(name: str, argv):
+    """The full parser's namespace for ``[name, *argv]``, read from the option table; None leaves
+    to argparse -h, --, an unknown or abbreviated option, --opt=value, a missing value or required
+    option, and a value that starts with '-' or fails its type or choices."""
+    options = {**COMMANDS[name][2], **_SHARED}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            values[token] = True
+            continue
+        text = next(tokens, "-")  # a missing value reads as "-"
+        if text.startswith("-"):  # argparse takes -0.5 as a value, -1e-3 as an option
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[token] = value
+    args = argparse.Namespace(command=name)
+    for option, keywords in options.items():
+        if option not in values and keywords.get("required"):
+            return None
+        default = False if keywords.get("action") == "store_true" else keywords.get("default")
+        setattr(args, option[2:].replace("-", "_"), values.get(option, default))
+    return args
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    name = argv[0] if argv else None
-    if name in COMMANDS:  # parse with that subcommand's parser alone
-        parser = _add_options(argparse.ArgumentParser(prog=f"qrepsim {name}"), COMMANDS[name][2])
-        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=name))
-    if name not in COMMANDS or extra:
-        # no subcommand, -h, or arguments the subcommand does not know: help or error, exit
+    args = _read_args(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:  # no subcommand, -h, an abbreviation or an error: argparse decides or exits
         args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

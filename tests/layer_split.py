@@ -30,6 +30,7 @@ import workloads as wl  # noqa: E402
 
 # (module, name): each is looked up in that module's globals when it is called
 LAYERS = (
+    ("cli", "_read_args"),
     ("cli", "load_config"),
     ("chain", "_rows"),
     ("chain", "_search"),

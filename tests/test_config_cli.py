@@ -269,7 +269,12 @@ def test_cli_sweep_prints_each_row_once(capsys, repeated, once):
     assert repeated_out == capsys.readouterr().out
 
 
-@pytest.mark.parametrize("distances", ["bogus", "1:500:40,"])
+# A grid no array can hold died with numpy's MemoryError traceback (exit 1).
+# 10**15 points are 7.1 PiB, past the 128 TiB address space, so numpy refuses
+# before it touches memory; a count whose array could be allocated is never tried.
+@pytest.mark.parametrize(
+    "distances", ["bogus", "1:500:40,", f"1:2:{10**15}", f"1:2:{10**15},lin"]
+)
 def test_cli_sweep_bad_distances(capsys, distances):
     assert main(["sweep", "--distances", distances]) == 2
     captured = capsys.readouterr()
@@ -456,3 +461,24 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys, fmt, target, reason):
     captured = capsys.readouterr()
     assert captured.err == f"error: cannot write output file {out!r}: {reason}\n"
     assert captured.out == ""
+
+
+# The cavity's g and γ set only link's r_coupled: the gate success
+# (cz_success) takes the uncoupled amplitude, and the heralded fidelity is the
+# configured technical_fidelity, so no purify, chain or sweep row sees them.
+@pytest.mark.parametrize("argv", COMMANDS)
+def test_cavity_g_and_gamma_reach_only_the_link_r_coupled(tmp_path, capsys, argv):
+    cfg = tmp_path / "cavity.cfg"
+    cfg.write_text("g_mhz = 5\ngamma_mhz = 9\n")
+    runs = []
+    for config in ([], ["--config", str(cfg)]):
+        rc = main([*argv, *config])
+        lines = capsys.readouterr().out.splitlines()
+        runs.append((rc, [line.split(",") for line in lines if not line.startswith("#")]))
+    (rc, rows), (changed_rc, changed_rows) = runs
+    assert rc == changed_rc == 0
+    assert len(rows) == len(changed_rows) > 1
+    columns = rows[0]
+    differ = {c for row, changed in zip(rows, changed_rows)
+              for c, cell, other in zip(columns, row, changed) if cell != other}
+    assert differ == ({"r_coupled"} if argv == ["link"] else set())

@@ -11,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LAYERS = [
+    "cli._read_args",
     "cli.load_config",
     "chain._rows",
     "chain._search",
@@ -34,6 +35,8 @@ def test_one_operation_per_workload_splits_into_its_layers():
         assert sum(times[layer] for layer in LAYERS) <= times["operation"], workload
     # each workload runs the layers its command calls
     assert found["point_queries"]["chain._search"] > 0
+    assert found["point_queries"]["cli._read_args"] > 0
+    assert found["node_pair"]["cli._read_args"] > 0
     assert found["distance_sweep"]["chain._rows"] > 0
     assert found["node_pair"]["cli.rate_fidelity_curve"] > 0
     assert found["node_pair"]["chain._search"] == 0

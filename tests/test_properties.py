@@ -12,14 +12,22 @@
   rate-fidelity curve is physical, and every P_puri lies in (0, 1].
 - Running ``chain``, ``sweep`` or ``purify`` twice in one process gives the
   same bytes.
-- The namespace the CLI dispatches on, parsed by the subcommand's parser
-  alone, equals the full parser's for any valid argv.
+- The namespace the CLI dispatches on equals the full parser's for any
+  valid argv. For any argv at all, the option table's reader either gives
+  the full parser's namespace or hands the argv to argparse, and ``main``
+  exits, prints and dispatches as the full parser alone would. Every call
+  shape of the benchmark and of README's examples is read without argparse.
 
 Generation is derandomized so the suite is repeatable.
 """
 
+import argparse
 import contextlib
+import importlib.util
+import io
+import itertools
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -315,3 +323,106 @@ def test_one_command_parse_equals_the_full_parse(argv):
     with mock.patch.dict(cli.COMMANDS, commands), mock.patch.object(cli, "load_config"):
         assert main(argv) == 0
     assert dispatched == [vars(build_parser().parse_args(argv))]
+
+
+# loose tokens for any subcommand: options of other subcommands, abbreviations,
+# --opt=value, help and the separator, values that look like options, values
+# that fail a type or a choice, and values some option takes
+CLI_TOKENS = [
+    "--n-max", "--distances", "--target", "--out", "--stat", "--dist", "--form", "--n", "--fc=on",
+    "--format=json", "--stations=3", "-h", "--help", "--", "-5", "-0.5", "-1e-3", "nan", "inf",
+    "-", "", "2.5", "x", "xml", "maybe", "3", "25", "0.99", "2,5", "1:10:2,lin", "json", "on",
+]
+
+
+@st.composite
+def cli_token_argv(draw):
+    """An argv of one subcommand from option-value pairs and loose tokens, in any order."""
+    name = draw(st.sampled_from(list(CLI_OPTIONS)))
+    options = {**CLI_OPTIONS[name], **SHARED_OPTIONS}
+
+    def pair(option, bad=st.sampled_from(CLI_TOKENS)):
+        """The option and, unless it is a flag, a valid value or, one time in four, ``bad``."""
+        value = options[option]
+        if value is None:
+            return st.just([option])
+        return st.one_of(value, value, value, bad).map(lambda text: [option, text])
+
+    required = [draw(pair(option, st.nothing())) for option in REQUIRED.get(name, ())
+                if draw(st.booleans())]
+    units = draw(st.lists(st.sampled_from(list(options)).flatmap(pair), max_size=4))
+    if draw(st.booleans()):
+        units += [[token] for token in draw(st.lists(st.sampled_from(CLI_TOKENS), max_size=2))]
+    return [name, *itertools.chain.from_iterable(draw(st.permutations(required + units)))]
+
+
+def _outcome(parse, argv):
+    """Exit code, stdout, stderr and the dispatched namespaces of ``parse(argv)``."""
+    dispatched, out, err = [], io.StringIO(), io.StringIO()
+
+    def record(config, args):
+        dispatched.append(vars(args))
+        return 0
+
+    commands = {name: (record, *rest) for name, (_, *rest) in cli.COMMANDS.items()}
+    with mock.patch.dict(cli.COMMANDS, commands), mock.patch.object(cli, "load_config"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = parse(argv)
+        except SystemExit as stop:
+            rc = stop.code
+    return rc, out.getvalue(), err.getvalue(), dispatched
+
+
+def _full_parse(argv):
+    """What ``main`` would do with the full parser alone."""
+    args = build_parser().parse_args(argv)
+    return cli.COMMANDS[args.command][0](None, args)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(argv=cli_token_argv())
+@example(["chain", "--stations", "3", "--distance-km", "-0.5"])  # argparse: a value
+@example(["chain", "--stations", "3", "--distance-km", "-1e-3"])  # argparse: an option
+@example(["chain", "--distance-km", "25", "--stations", "3", "--fc", "--stations", "5"])
+@example(["sweep", "--fc", "on", "--out", ""])
+@example(["sweep", "--fc", "on", "--out"])  # a missing value
+def test_the_option_reader_agrees_with_argparse(argv):
+    args = cli._read_args(argv[0], argv[1:])
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
+    with mock.patch.object(cli, "build_parser", wraps=build_parser) as built:
+        produced = _outcome(main, argv)
+    assert built.call_count == (args is None)  # an argv the reader takes builds no parser
+    assert produced == _outcome(_full_parse, argv)
+
+
+def _workloads():
+    """``bench/workloads.py``, for its operations' argv."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    )
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+README_EXAMPLES = [
+    ["link"],
+    ["purify", "--n-max", "6"],
+    ["chain", "--stations", "5", "--distance-km", "25", "--target", "0.99"],
+    ["sweep", "--stations", "2,5,17", "--distances", "1:500:40,log", "--fc", "both"],
+]
+
+
+def test_benchmark_and_readme_calls_build_no_argparse_parser():
+    wl = _workloads()
+    calls = [[*call.argv, "--config", "op.cfg"]
+             for workload in wl.WORKLOADS for op in wl.operations(workload, 0) for call in op.calls]
+    # chain with and without --fc, link and purify with --format, sweep
+    assert {"--fc" in argv for argv in calls if argv[0] == "chain"} == {False, True}
+    assert {argv[0] for argv in calls} == set(cli.COMMANDS)
+    argvs = README_EXAMPLES + calls
+    with mock.patch.object(argparse, "ArgumentParser", side_effect=AssertionError("a parser")):
+        produced = [_outcome(main, argv) for argv in argvs]
+    assert produced == [_outcome(_full_parse, argv) for argv in argvs]
